@@ -140,17 +140,22 @@ impl Snapshot {
     /// `kaskade-service` plan cache) skip re-planning; the plan must
     /// have been produced against a snapshot with the same catalog.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<Table, KaskadeError> {
-        let target = match planned.view_id {
-            Some(id) => {
-                let view = self
-                    .catalog
-                    .get_by_id(id)
-                    .ok_or(KaskadeError::UnknownView(id))?;
-                &view.graph
-            }
-            None => &self.graph,
-        };
-        execute_query(target, &planned.query).map_err(KaskadeError::Execution)
+        execute_query(self.plan_target(planned)?, &planned.query).map_err(KaskadeError::Execution)
+    }
+
+    /// The graph a planned query runs on: the materialized view it was
+    /// rewritten over, or the base graph. Fails with
+    /// [`KaskadeError::UnknownView`] when the plan names a view this
+    /// snapshot's catalog does not hold.
+    pub fn plan_target(&self, planned: &PlannedQuery) -> Result<&Graph, KaskadeError> {
+        match planned.view_id {
+            Some(id) => self
+                .catalog
+                .get_by_id(id)
+                .map(|view| &view.graph)
+                .ok_or(KaskadeError::UnknownView(id)),
+            None => Ok(&self.graph),
+        }
     }
 
     /// Plans and executes a query, automatically routing it to the best

@@ -1,16 +1,61 @@
 //! Relational execution over pattern-match results: projection,
 //! filtering, grouping and aggregation (the SQL fragment of §III-B).
+//!
+//! ## The compiled stage
+//!
+//! Each `SELECT` level is compiled once per execution, against its
+//! input's column names and the graph it runs on. Column references
+//! become slot indices and property keys become interned [`Symbol`]s,
+//! so an expression costs an index (plus, for `var.key`, one property
+//! lookup) per row — no name search and no key hashing. Values flow
+//! through the stage as borrowed references into the input rows, the
+//! graph's properties and the query's literals; they are cloned into
+//! [`Datum`]s only when an output row is written. The innermost level
+//! reads the pattern's vertex rows directly; outer levels read the
+//! inner level's [`Table`].
+//!
+//! **Deferred errors.** A name that does not resolve (or an aggregate
+//! where a scalar is required, or an `id()` the serving layer did not
+//! resolve) compiles to a node that fails when it is evaluated. So an
+//! error surfaces only when a row reaches it — never on empty input —
+//! and the same error wins as in a row-at-a-time evaluation that
+//! filters every row, then groups them, then aggregates group by group:
+//! a grouping error wins over an aggregate error, and among aggregate
+//! errors the first group (in first-occurrence order) and, within it,
+//! the first item that failed on any of its rows wins. Accumulators
+//! hold their error until the group is finished to keep that order.
+//! Streaming rows through WHERE one at a time keeps it too: a row that
+//! passes WHERE evaluated every conjunct without error, and a column
+//! holds vertices on every row or on none, so no later row can fail
+//! WHERE.
+//!
+//! **Streaming group-by.** Aggregates fold into per-group accumulators
+//! in one pass over the input. Group keys borrow from the input rows
+//! and the graph, are built in one reused buffer, and are copied only
+//! when a new group starts. An integral float that fits `i64` keys as
+//! that integer, so `GROUP BY` puts `1` and `1.0` in one group, as
+//! `WHERE ... = ...` treats them as equal.
+//!
+//! **Run grouping.** Pattern rows arrive sorted and deduplicated in
+//! RETURN order ([`PatternRows`]). When a level reads a `MATCH`
+//! directly and its `GROUP BY` columns are a prefix of the returned
+//! columns (as a set), each group is one contiguous run of rows and is
+//! folded without a hash table. Output groups appear in
+//! first-occurrence order either way.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use kaskade_graph::{Graph, Value, VertexId};
+use kaskade_graph::{Graph, Symbol, Value, VertexId};
 
-use crate::ast::{AggFunc, CmpOp, Expr, GraphPattern, Predicate, Query, SelectStmt, Source};
+use crate::ast::{AggFunc, CmpOp, Expr, GraphPattern, Query, SelectStmt, Source};
 use crate::plan::{ExecError, PatternPlan};
 
 /// The result of executing one `MATCH` pattern: RETURN aliases plus
-/// sorted, deduplicated rows of vertex bindings (see
-/// [`PatternPlan::execute`]).
+/// rows of vertex bindings, sorted and deduplicated (see
+/// [`PatternPlan::execute`]). Providers passed to
+/// [`execute_with_pattern`] must keep that order.
 pub type PatternRows = (Vec<String>, Vec<Vec<VertexId>>);
 
 /// A value flowing through the relational operators: either a graph
@@ -49,19 +94,6 @@ impl Datum {
             _ => None,
         }
     }
-
-    /// Hashable normalization used as a grouping key (floats by bit
-    /// pattern).
-    fn key(&self) -> DatumKey {
-        match self {
-            Datum::Vertex(v) => DatumKey::Vertex(v.0),
-            Datum::Val(Value::Int(i)) => DatumKey::Int(*i),
-            Datum::Val(Value::Float(f)) => DatumKey::Float(f.to_bits()),
-            Datum::Val(Value::Str(s)) => DatumKey::Str(s.clone()),
-            Datum::Val(Value::Bool(b)) => DatumKey::Bool(*b),
-            Datum::Null => DatumKey::Null,
-        }
-    }
 }
 
 impl std::fmt::Display for Datum {
@@ -72,16 +104,6 @@ impl std::fmt::Display for Datum {
             Datum::Null => write!(f, "NULL"),
         }
     }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum DatumKey {
-    Vertex(u32),
-    Int(i64),
-    Float(u64),
-    Str(String),
-    Bool(bool),
-    Null,
 }
 
 /// A result table: named columns and rows of data.
@@ -119,22 +141,6 @@ impl Table {
     }
 }
 
-/// Total order on datums for ORDER BY: values by [`Value::total_cmp`],
-/// then vertices by id, then NULL last; across kinds: values < vertices
-/// < null.
-fn datum_cmp(a: &Datum, b: &Datum) -> std::cmp::Ordering {
-    use std::cmp::Ordering::*;
-    match (a, b) {
-        (Datum::Val(x), Datum::Val(y)) => x.total_cmp(y),
-        (Datum::Vertex(x), Datum::Vertex(y)) => x.cmp(y),
-        (Datum::Null, Datum::Null) => Equal,
-        (Datum::Val(_), _) => Less,
-        (_, Datum::Val(_)) => Greater,
-        (Datum::Vertex(_), _) => Less,
-        (_, Datum::Vertex(_)) => Greater,
-    }
-}
-
 /// Executes a full query against a graph.
 pub fn execute(g: &Graph, q: &Query) -> Result<Table, ExecError> {
     execute_with_pattern(g, q, &|p| {
@@ -160,19 +166,15 @@ pub fn execute_with_pattern(
     pattern_exec: &dyn Fn(&GraphPattern) -> Result<PatternRows, ExecError>,
 ) -> Result<Table, ExecError> {
     match q {
-        Query::Match(p) => Ok(match_table(pattern_exec(p)?)),
-        Query::Select(s) => execute_select(g, s, pattern_exec),
-    }
-}
-
-/// Lifts pattern rows into a relational [`Table`] of vertex datums.
-fn match_table((columns, vrows): PatternRows) -> Table {
-    Table {
-        columns,
-        rows: vrows
-            .into_iter()
-            .map(|r| r.into_iter().map(Datum::Vertex).collect())
-            .collect(),
+        Query::Match(p) => {
+            let (columns, rows) = pattern_exec(p)?;
+            let rows = rows
+                .into_iter()
+                .map(|r| r.into_iter().map(Datum::Vertex).collect())
+                .collect();
+            Ok(Table { columns, rows })
+        }
+        Query::Select(s) => execute_select(g, s, pattern_exec).map(Level::into_table),
     }
 }
 
@@ -180,283 +182,686 @@ fn execute_select(
     g: &Graph,
     s: &SelectStmt,
     pattern_exec: &dyn Fn(&GraphPattern) -> Result<PatternRows, ExecError>,
-) -> Result<Table, ExecError> {
-    let input = match &s.from {
-        Source::Match(p) => match_table(pattern_exec(p)?),
-        Source::Subquery(inner) => execute_select(g, inner, pattern_exec)?,
-    };
-
-    // WHERE
-    let rows: Vec<&Vec<Datum>> = match &s.where_clause {
-        None => input.rows.iter().collect(),
-        Some(pred) => {
-            let mut kept = Vec::new();
-            for row in &input.rows {
-                if eval_predicate(g, &input.columns, row, pred)? {
-                    kept.push(row);
-                }
-            }
-            kept
+) -> Result<Level, ExecError> {
+    match &s.from {
+        Source::Match(p) => {
+            let (columns, rows) = pattern_exec(p)?;
+            select(g, s, &columns, &rows)
         }
-    };
-
-    let has_agg = s.items.iter().any(|(e, _)| e.has_agg());
-    let columns: Vec<String> = s.items.iter().map(|(_, a)| a.clone()).collect();
-
-    if !has_agg && s.group_by.is_empty() {
-        // plain projection
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut r = Vec::with_capacity(s.items.len());
-            for (e, _) in &s.items {
-                r.push(eval_scalar(g, &input.columns, row, e)?);
-            }
-            out.push(r);
+        Source::Subquery(inner) => {
+            let input = execute_select(g, inner, pattern_exec)?;
+            let rows: Vec<&[Datum]> = (0..input.len).map(|i| input.row(i)).collect();
+            select(g, s, &input.columns, &rows)
         }
-        let mut table = Table { columns, rows: out };
-        apply_order_and_limit(g, s, &mut table)?;
-        return Ok(table);
     }
-
-    // group rows
-    let mut groups: HashMap<Vec<DatumKey>, Vec<&Vec<Datum>>> = HashMap::new();
-    let mut group_order: Vec<Vec<DatumKey>> = Vec::new();
-    for row in rows {
-        let mut key = Vec::with_capacity(s.group_by.len());
-        for e in &s.group_by {
-            key.push(eval_scalar(g, &input.columns, row, e)?.key());
-        }
-        groups
-            .entry(key.clone())
-            .or_insert_with(|| {
-                group_order.push(key);
-                Vec::new()
-            })
-            .push(row);
-    }
-    // with no GROUP BY but aggregates: one implicit group (even if empty)
-    if s.group_by.is_empty() && groups.is_empty() {
-        groups.insert(vec![], vec![]);
-        group_order.push(vec![]);
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for key in &group_order {
-        let members = &groups[key];
-        let mut r = Vec::with_capacity(s.items.len());
-        for (e, _) in &s.items {
-            r.push(eval_with_agg(g, &input.columns, members, e)?);
-        }
-        out.push(r);
-    }
-    let mut table = Table { columns, rows: out };
-    apply_order_and_limit(g, s, &mut table)?;
-    Ok(table)
 }
 
-/// Applies ORDER BY (over the *output* columns, by alias or positional
-/// re-evaluation) and LIMIT to a finished table.
-fn apply_order_and_limit(g: &Graph, s: &SelectStmt, table: &mut Table) -> Result<(), ExecError> {
-    if !s.order_by.is_empty() {
-        // resolve each key: if the expression matches an output alias or
-        // a projected expression, sort on that column; otherwise it must
-        // be evaluable against the output row (e.g. Prop on a projected
-        // vertex column)
-        let mut keys: Vec<Vec<Datum>> = Vec::with_capacity(table.rows.len());
-        for row in &table.rows {
-            let mut k = Vec::with_capacity(s.order_by.len());
-            for (e, _) in &s.order_by {
-                // alias match first
-                let d = match e {
-                    Expr::Column(name) if table.column_index(name).is_some() => {
-                        row[table.column_index(name).unwrap()].clone()
-                    }
-                    _ => {
-                        // positional: identical projected expression
-                        match s.items.iter().position(|(pe, _)| pe == e) {
-                            Some(i) => row[i].clone(),
-                            None => eval_scalar(g, &table.columns, row, e)?,
-                        }
-                    }
-                };
-                k.push(d);
-            }
-            keys.push(k);
+/// One level's output: `len` rows of `columns.len()` cells, row-major
+/// in one buffer. Levels feed each other in this form; only the
+/// outermost becomes a [`Table`].
+struct Level {
+    columns: Vec<String>,
+    cells: Vec<Datum>,
+    len: usize,
+}
+
+impl Level {
+    fn row(&self, i: usize) -> &[Datum] {
+        let width = self.columns.len();
+        &self.cells[i * width..(i + 1) * width]
+    }
+
+    fn into_table(self) -> Table {
+        let width = self.columns.len();
+        let mut cells = self.cells.into_iter();
+        let rows = (0..self.len)
+            .map(|_| cells.by_ref().take(width).collect())
+            .collect();
+        Table {
+            columns: self.columns,
+            rows,
         }
-        let mut idx: Vec<usize> = (0..table.rows.len()).collect();
-        idx.sort_by(|&a, &b| {
+    }
+}
+
+/// Compiles one `SELECT` level against its input and runs it.
+fn select<R: Row>(
+    g: &Graph,
+    s: &SelectStmt,
+    columns: &[String],
+    rows: &[R],
+) -> Result<Level, ExecError> {
+    let compile = |e| Scalar::compile(g, columns, e);
+    let filter: Vec<Comparison<'_>> = s
+        .where_clause
+        .iter()
+        .flat_map(|p| &p.conjuncts)
+        .map(|(l, op, r)| (compile(l), *op, compile(r)))
+        .collect();
+    let input = Input {
+        g,
+        filter: &filter,
+        rows,
+    };
+    let mut out = Level {
+        columns: s.items.iter().map(|(_, a)| a.clone()).collect(),
+        cells: Vec::new(),
+        len: 0,
+    };
+    if s.group_by.is_empty() && !s.items.iter().any(|(e, _)| e.has_agg()) {
+        let items: Vec<Scalar<'_>> = s.items.iter().map(|(e, _)| compile(e)).collect();
+        input.project(&items, &mut out)?;
+    } else {
+        let items: Vec<Agg<'_>> = s
+            .items
+            .iter()
+            .map(|(e, _)| Agg::compile(g, columns, e))
+            .collect();
+        match run_prefix(&s.group_by, columns) {
+            Some(k) if R::sorted_on_prefix(rows, k) => input.group_runs(k, &items, &mut out)?,
+            _ => {
+                let keys: Vec<Scalar<'_>> = s.group_by.iter().map(compile).collect();
+                input.group_hashed(&keys, &items, &mut out)?;
+            }
+        }
+    }
+    order_and_limit(g, s, &mut out)?;
+    Ok(out)
+}
+
+/// `Some(k)` when the GROUP BY expressions are exactly the first `k`
+/// input columns, compared as a set (`k = 0` for the implicit group of
+/// an aggregate without GROUP BY).
+fn run_prefix(group_by: &[Expr], columns: &[String]) -> Option<usize> {
+    let mut grouped = vec![false; columns.len()];
+    for e in group_by {
+        let Expr::Column(name) = e else { return None };
+        grouped[columns.iter().position(|c| c == name)?] = true;
+    }
+    let k = grouped.iter().take_while(|&&b| b).count();
+    grouped[k..].iter().all(|&b| !b).then_some(k)
+}
+
+/// A borrowed value: a vertex, or a reference into an input row, a
+/// property map or the query's literals.
+#[derive(Clone, Copy)]
+enum Ref<'a> {
+    Vertex(VertexId),
+    Val(&'a Value),
+    Null,
+}
+
+impl<'a> Ref<'a> {
+    fn to_datum(self) -> Datum {
+        match self {
+            Ref::Vertex(v) => Datum::Vertex(v),
+            Ref::Val(v) => Datum::Val(v.clone()),
+            Ref::Null => Datum::Null,
+        }
+    }
+
+    /// The grouping key. An integral float that fits `i64` keys as that
+    /// integer (except `-0.0`, which [`Value::total_cmp`] orders below
+    /// `0`); other floats key by bit pattern.
+    fn key(self) -> Key<'a> {
+        const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+        match self {
+            Ref::Vertex(v) => Key::Vertex(v),
+            Ref::Null => Key::Null,
+            Ref::Val(Value::Int(i)) => Key::Int(*i),
+            Ref::Val(Value::Float(f))
+                if f.fract() == 0.0
+                    && (-TWO_POW_63..TWO_POW_63).contains(f)
+                    && !(*f == 0.0 && f.is_sign_negative()) =>
+            {
+                Key::Int(*f as i64)
+            }
+            Ref::Val(Value::Float(f)) => Key::Float(f.to_bits()),
+            Ref::Val(Value::Str(s)) => Key::Str(s),
+            Ref::Val(Value::Bool(b)) => Key::Bool(*b),
+        }
+    }
+}
+
+/// Total order for ORDER BY: values by [`Value::total_cmp`], then
+/// vertices by id, then NULL last; across kinds: values < vertices <
+/// null.
+fn ref_cmp(a: Ref<'_>, b: Ref<'_>) -> Ordering {
+    use Ordering::*;
+    match (a, b) {
+        (Ref::Val(x), Ref::Val(y)) => x.total_cmp(y),
+        (Ref::Vertex(x), Ref::Vertex(y)) => x.cmp(&y),
+        (Ref::Null, Ref::Null) => Equal,
+        (Ref::Val(_), _) => Less,
+        (_, Ref::Val(_)) => Greater,
+        (Ref::Vertex(_), _) => Less,
+        (_, Ref::Vertex(_)) => Greater,
+    }
+}
+
+/// A grouping key component, borrowing strings from the input.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key<'a> {
+    Vertex(VertexId),
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
+    Bool(bool),
+    Null,
+}
+
+/// FxHash (the rustc hasher): one rotate-xor-multiply per word. Group
+/// keys are a few words hashed once per row, where SipHash's per-hash
+/// setup would dominate. The price is SipHash's protection against
+/// keys crafted to collide, which slow a GROUP BY but cannot change its
+/// result.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A cell of an input row: a pattern binding or an inner level's datum.
+trait Cell: PartialEq {
+    fn get(&self) -> Ref<'_>;
+}
+
+impl Cell for VertexId {
+    #[inline]
+    fn get(&self) -> Ref<'_> {
+        Ref::Vertex(*self)
+    }
+}
+
+impl Cell for Datum {
+    #[inline]
+    fn get(&self) -> Ref<'_> {
+        match self {
+            Datum::Vertex(v) => Ref::Vertex(*v),
+            Datum::Val(v) => Ref::Val(v),
+            Datum::Null => Ref::Null,
+        }
+    }
+}
+
+/// An input row: a pattern row, or a row of an inner level's output.
+trait Row: Sized {
+    type Cell: Cell;
+
+    fn cells(&self) -> &[Self::Cell];
+
+    /// Whether `rows` are ordered on their first `k` columns, so that
+    /// rows agreeing on them are contiguous.
+    fn sorted_on_prefix(rows: &[Self], k: usize) -> bool;
+}
+
+impl Row for Vec<VertexId> {
+    type Cell = VertexId;
+
+    #[inline]
+    fn cells(&self) -> &[VertexId] {
+        self
+    }
+
+    fn sorted_on_prefix(rows: &[Self], k: usize) -> bool {
+        // the pattern-row contract; checked because providers are
+        // caller-supplied, and cheap next to the fold itself
+        rows.windows(2).all(|w| w[0][..k] <= w[1][..k])
+    }
+}
+
+impl Row for &[Datum] {
+    type Cell = Datum;
+
+    #[inline]
+    fn cells(&self) -> &[Datum] {
+        self
+    }
+
+    fn sorted_on_prefix(_: &[Self], k: usize) -> bool {
+        k == 0
+    }
+}
+
+/// A compiled scalar expression.
+enum Scalar<'q> {
+    Lit(&'q Value),
+    Col(usize),
+    /// `var.key` over the column at `col`; `key` is `None` when no
+    /// property of the graph has that name (the value is then NULL).
+    Prop {
+        col: usize,
+        key: Option<Symbol>,
+        var: &'q str,
+    },
+    /// A deferred error: fails whenever it is evaluated.
+    Fail(ExecError),
+}
+
+impl<'q> Scalar<'q> {
+    fn compile(g: &Graph, columns: &[String], e: &'q Expr) -> Self {
+        let slot = |name: &str| columns.iter().position(|c| c == name);
+        match e {
+            Expr::Literal(v) => Scalar::Lit(v),
+            Expr::Column(name) => match slot(name) {
+                Some(col) => Scalar::Col(col),
+                None => Scalar::Fail(ExecError::UnknownColumn(name.clone())),
+            },
+            Expr::Prop(var, key) => match slot(var) {
+                Some(col) => Scalar::Prop {
+                    col,
+                    key: g.symbol(key),
+                    var,
+                },
+                None => Scalar::Fail(ExecError::UnknownColumn(var.clone())),
+            },
+            Expr::Agg(_, _) => Scalar::Fail(ExecError::MisplacedAggregate),
+            // graphs store slot ids, not external ids; an `id()` that was
+            // not resolved into a pinned anchor by the serving layer (see
+            // `Query::split_extid_anchors`) cannot be answered here
+            Expr::VertexIdOf(_) => Scalar::Fail(ExecError::Unsupported(
+                "id() requires external-id resolution by the serving engine".into(),
+            )),
+        }
+    }
+
+    #[inline]
+    fn eval<'a, T: Cell>(&'a self, g: &'a Graph, row: &'a [T]) -> Result<Ref<'a>, ExecError> {
+        match self {
+            Scalar::Lit(v) => Ok(Ref::Val(v)),
+            Scalar::Col(i) => Ok(row[*i].get()),
+            Scalar::Prop { col, key, var } => match row[*col].get() {
+                Ref::Vertex(v) => Ok(key
+                    .and_then(|k| g.vertex_prop_sym(v, k))
+                    .map_or(Ref::Null, Ref::Val)),
+                _ => Err(ExecError::NotAVertex(var.to_string())),
+            },
+            Scalar::Fail(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// One compiled `WHERE` conjunct.
+type Comparison<'q> = (Scalar<'q>, CmpOp, Scalar<'q>);
+
+/// A compiled item of a grouped level.
+enum Agg<'q> {
+    /// `COUNT(*)`.
+    Rows,
+    /// `COUNT(e)`: rows where `e` is not NULL.
+    Count(Scalar<'q>),
+    Sum(Scalar<'q>),
+    Avg(Scalar<'q>),
+    Min(Scalar<'q>),
+    Max(Scalar<'q>),
+    /// A non-aggregate item: its value on the group's first row (NULL
+    /// for the empty implicit group).
+    First(Scalar<'q>),
+    /// `SUM`/`AVG`/`MIN`/`MAX` without an argument: fails per group.
+    Misplaced,
+}
+
+/// The running state of one [`Agg`] over one group.
+enum Acc<'a> {
+    Count(i64),
+    Sum {
+        int: i64,
+        float: f64,
+        all_int: bool,
+        n: usize,
+    },
+    Best(Option<&'a Value>),
+    First(Option<Ref<'a>>),
+    /// The first error the item raised on the group's rows.
+    Failed(ExecError),
+}
+
+impl<'q> Agg<'q> {
+    fn compile(g: &Graph, columns: &[String], e: &'q Expr) -> Self {
+        match e {
+            Expr::Agg(AggFunc::Count, None) => Agg::Rows,
+            Expr::Agg(_, None) => Agg::Misplaced,
+            Expr::Agg(func, Some(inner)) => {
+                let inner = Scalar::compile(g, columns, inner);
+                match func {
+                    AggFunc::Count => Agg::Count(inner),
+                    AggFunc::Sum => Agg::Sum(inner),
+                    AggFunc::Avg => Agg::Avg(inner),
+                    AggFunc::Min => Agg::Min(inner),
+                    AggFunc::Max => Agg::Max(inner),
+                }
+            }
+            other => Agg::First(Scalar::compile(g, columns, other)),
+        }
+    }
+
+    fn start<'a>(&self) -> Acc<'a> {
+        match self {
+            Agg::Rows | Agg::Count(_) => Acc::Count(0),
+            Agg::Sum(_) | Agg::Avg(_) => Acc::Sum {
+                int: 0,
+                float: 0.0,
+                all_int: true,
+                n: 0,
+            },
+            Agg::Min(_) | Agg::Max(_) => Acc::Best(None),
+            Agg::First(_) => Acc::First(None),
+            Agg::Misplaced => Acc::Failed(ExecError::MisplacedAggregate),
+        }
+    }
+
+    /// Folds one row into `acc`; an error parks the accumulator.
+    #[inline]
+    fn add<'a, T: Cell>(&'a self, acc: &mut Acc<'a>, g: &'a Graph, row: &'a [T]) {
+        if let Err(e) = self.fold(acc, g, row) {
+            *acc = Acc::Failed(e);
+        }
+    }
+
+    fn fold<'a, T: Cell>(
+        &'a self,
+        acc: &mut Acc<'a>,
+        g: &'a Graph,
+        row: &'a [T],
+    ) -> Result<(), ExecError> {
+        match (self, acc) {
+            (_, Acc::Failed(_)) => {}
+            (Agg::Rows, Acc::Count(n)) => *n += 1,
+            (Agg::Count(e), Acc::Count(n)) => {
+                if !matches!(e.eval(g, row)?, Ref::Null) {
+                    *n += 1;
+                }
+            }
+            (
+                Agg::Sum(e) | Agg::Avg(e),
+                Acc::Sum {
+                    int,
+                    float,
+                    all_int,
+                    n,
+                },
+            ) => match e.eval(g, row)? {
+                Ref::Val(Value::Int(v)) => {
+                    *int = int.wrapping_add(*v);
+                    *float += *v as f64;
+                    *n += 1;
+                }
+                Ref::Val(Value::Float(v)) => {
+                    *all_int = false;
+                    *float += v;
+                    *n += 1;
+                }
+                Ref::Null => {}
+                _ => return Err(ExecError::NotAVertex("aggregate input".into())),
+            },
+            (Agg::Min(e) | Agg::Max(e), Acc::Best(best)) => {
+                if let Ref::Val(v) = e.eval(g, row)? {
+                    let wanted = if matches!(self, Agg::Min(_)) {
+                        Ordering::Less
+                    } else {
+                        Ordering::Greater
+                    };
+                    if best.is_none_or(|b| v.total_cmp(b) == wanted) {
+                        *best = Some(v);
+                    }
+                }
+            }
+            (Agg::First(e), Acc::First(first)) => {
+                if first.is_none() {
+                    *first = Some(e.eval(g, row)?);
+                }
+            }
+            _ => unreachable!("accumulator started by its own aggregate"),
+        }
+        Ok(())
+    }
+
+    fn finish(&self, acc: Acc<'_>) -> Result<Datum, ExecError> {
+        Ok(match acc {
+            Acc::Failed(e) => return Err(e),
+            Acc::Count(n) => Datum::Val(Value::Int(n)),
+            Acc::Sum { n: 0, .. } if matches!(self, Agg::Sum(_)) => Datum::Val(Value::Int(0)),
+            Acc::Sum { n: 0, .. } => Datum::Null,
+            Acc::Sum { float, n, .. } if matches!(self, Agg::Avg(_)) => {
+                Datum::Val(Value::Float(float / n as f64))
+            }
+            Acc::Sum {
+                int, all_int: true, ..
+            } => Datum::Val(Value::Int(int)),
+            Acc::Sum { float, .. } => Datum::Val(Value::Float(float)),
+            Acc::Best(best) => best.map_or(Datum::Null, |v| Datum::Val(v.clone())),
+            Acc::First(first) => first.map_or(Datum::Null, Ref::to_datum),
+        })
+    }
+}
+
+/// Folds `row` into one group's accumulators.
+#[inline]
+fn fold_row<'a, T: Cell>(items: &'a [Agg<'_>], accs: &mut [Acc<'a>], g: &'a Graph, row: &'a [T]) {
+    for (item, acc) in items.iter().zip(accs) {
+        item.add(acc, g, row);
+    }
+}
+
+/// Emits one group's output row and restarts its accumulators. The
+/// first failed item, in item order, is the group's error.
+fn finish_group(items: &[Agg<'_>], accs: &mut [Acc<'_>], out: &mut Level) -> Result<(), ExecError> {
+    for (item, acc) in items.iter().zip(accs) {
+        out.cells
+            .push(item.finish(std::mem::replace(acc, item.start()))?);
+    }
+    out.len += 1;
+    Ok(())
+}
+
+/// The input of one compiled level: its rows and its `WHERE` filter.
+struct Input<'a, 'q, R> {
+    g: &'a Graph,
+    filter: &'a [Comparison<'q>],
+    rows: &'a [R],
+}
+
+impl<'a, R: Row> Input<'a, '_, R> {
+    fn passes(&self, row: &'a [R::Cell]) -> Result<bool, ExecError> {
+        for (l, op, r) in self.filter {
+            let (Ref::Val(lv), Ref::Val(rv)) = (l.eval(self.g, row)?, r.eval(self.g, row)?) else {
+                // null or vertex comparisons are false (SQL-ish semantics)
+                return Ok(false);
+            };
+            let ord = lv.total_cmp(rv);
+            let pass = match op {
+                CmpOp::Eq => ord == Ordering::Equal,
+                CmpOp::Ne => ord != Ordering::Equal,
+                CmpOp::Lt => ord == Ordering::Less,
+                CmpOp::Le => ord != Ordering::Greater,
+                CmpOp::Gt => ord == Ordering::Greater,
+                CmpOp::Ge => ord != Ordering::Less,
+            };
+            if !pass {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Runs `body` on each row that passes `WHERE`, in input order.
+    fn for_each_kept(
+        &self,
+        mut body: impl FnMut(&'a [R::Cell]) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        for row in self.rows {
+            let row = row.cells();
+            if self.passes(row)? {
+                body(row)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Plain projection: one output row per kept row.
+    fn project(&self, items: &'a [Scalar<'_>], out: &mut Level) -> Result<(), ExecError> {
+        self.for_each_kept(|row| {
+            for e in items {
+                out.cells.push(e.eval(self.g, row)?.to_datum());
+            }
+            out.len += 1;
+            Ok(())
+        })
+    }
+
+    /// Grouping on the first `prefix` columns of rows sorted on them:
+    /// each group is a run, finished when the next one starts.
+    fn group_runs(
+        &self,
+        prefix: usize,
+        items: &'a [Agg<'_>],
+        out: &mut Level,
+    ) -> Result<(), ExecError> {
+        let mut accs: Vec<Acc<'a>> = items.iter().map(Agg::start).collect();
+        let mut run: Option<&[R::Cell]> = None;
+        self.for_each_kept(|row| {
+            let key = &row[..prefix];
+            if run.is_some_and(|r| r != key) {
+                finish_group(items, &mut accs, out)?;
+            }
+            run = Some(key);
+            fold_row(items, &mut accs, self.g, row);
+            Ok(())
+        })?;
+        // with no GROUP BY, aggregates have one implicit group, even
+        // over empty input
+        if run.is_some() || prefix == 0 {
+            finish_group(items, &mut accs, out)?;
+        }
+        Ok(())
+    }
+
+    /// Grouping through a hash table over the evaluated `keys`.
+    fn group_hashed(
+        &self,
+        keys: &'a [Scalar<'_>],
+        items: &'a [Agg<'_>],
+        out: &mut Level,
+    ) -> Result<(), ExecError> {
+        let n = items.len();
+        let mut groups: HashMap<Vec<Key<'a>>, usize, BuildHasherDefault<FxHasher>> =
+            HashMap::default();
+        let mut accs: Vec<Acc<'a>> = Vec::new();
+        let mut key: Vec<Key<'a>> = Vec::with_capacity(keys.len());
+        self.for_each_kept(|row| {
+            key.clear();
+            for e in keys {
+                key.push(e.eval(self.g, row)?.key());
+            }
+            let group = match groups.get(key.as_slice()) {
+                Some(&i) => i,
+                None => {
+                    let i = groups.len();
+                    groups.insert(key.clone(), i);
+                    accs.extend(items.iter().map(Agg::start));
+                    i
+                }
+            };
+            fold_row(items, &mut accs[group * n..(group + 1) * n], self.g, row);
+            Ok(())
+        })?;
+        for i in 0..groups.len() {
+            finish_group(items, &mut accs[i * n..(i + 1) * n], out)?;
+        }
+        Ok(())
+    }
+}
+
+/// Applies ORDER BY (over the *output* columns: by alias, by a repeated
+/// projected expression, or by an expression evaluated on the output
+/// row) and LIMIT to a finished level. Rows move; none is cloned.
+fn order_and_limit(g: &Graph, s: &SelectStmt, level: &mut Level) -> Result<(), ExecError> {
+    let width = level.columns.len();
+    if !s.order_by.is_empty() {
+        let keys: Vec<Scalar<'_>> = s
+            .order_by
+            .iter()
+            .map(|(e, _)| {
+                let alias = match e {
+                    Expr::Column(name) => level.columns.iter().position(|c| c == name),
+                    _ => None,
+                };
+                match alias.or_else(|| s.items.iter().position(|(pe, _)| pe == e)) {
+                    Some(i) => Scalar::Col(i),
+                    None => Scalar::compile(g, &level.columns, e),
+                }
+            })
+            .collect();
+        let n = keys.len();
+        let mut sort_keys: Vec<Ref<'_>> = Vec::with_capacity(level.len * n);
+        for i in 0..level.len {
+            for k in &keys {
+                sort_keys.push(k.eval(g, level.row(i))?);
+            }
+        }
+        let mut order: Vec<usize> = (0..level.len).collect();
+        order.sort_by(|&a, &b| {
             for (i, (_, desc)) in s.order_by.iter().enumerate() {
-                let o = datum_cmp(&keys[a][i], &keys[b][i]);
+                let o = ref_cmp(sort_keys[a * n + i], sort_keys[b * n + i]);
                 let o = if *desc { o.reverse() } else { o };
-                if o != std::cmp::Ordering::Equal {
+                if o != Ordering::Equal {
                     return o;
                 }
             }
             a.cmp(&b) // stable tie-break
         });
-        let mut reordered = Vec::with_capacity(table.rows.len());
-        for i in idx {
-            reordered.push(table.rows[i].clone());
+        drop(sort_keys);
+        let mut cells = Vec::with_capacity(level.cells.len());
+        for i in order {
+            let row = &mut level.cells[i * width..(i + 1) * width];
+            cells.extend(row.iter_mut().map(|d| std::mem::replace(d, Datum::Null)));
         }
-        table.rows = reordered;
+        level.cells = cells;
     }
     if let Some(n) = s.limit {
-        table.rows.truncate(n);
+        level.len = level.len.min(n);
+        level.cells.truncate(level.len * width);
     }
     Ok(())
-}
-
-/// Evaluates a scalar (non-aggregate) expression over one row.
-fn eval_scalar(g: &Graph, columns: &[String], row: &[Datum], e: &Expr) -> Result<Datum, ExecError> {
-    match e {
-        Expr::Literal(v) => Ok(Datum::Val(v.clone())),
-        Expr::Column(name) => {
-            let i = columns
-                .iter()
-                .position(|c| c == name)
-                .ok_or_else(|| ExecError::UnknownColumn(name.clone()))?;
-            Ok(row[i].clone())
-        }
-        Expr::Prop(var, key) => {
-            let i = columns
-                .iter()
-                .position(|c| c == var)
-                .ok_or_else(|| ExecError::UnknownColumn(var.clone()))?;
-            match &row[i] {
-                Datum::Vertex(v) => Ok(g
-                    .vertex_prop(*v, key)
-                    .map(|p| Datum::Val(p.clone()))
-                    .unwrap_or(Datum::Null)),
-                _ => Err(ExecError::NotAVertex(var.clone())),
-            }
-        }
-        Expr::Agg(_, _) => Err(ExecError::MisplacedAggregate),
-        // graphs store slot ids, not external ids; an `id()` that was
-        // not resolved into a pinned anchor by the serving layer (see
-        // `Query::split_extid_anchors`) cannot be answered here
-        Expr::VertexIdOf(_) => Err(ExecError::Unsupported(
-            "id() requires external-id resolution by the serving engine".into(),
-        )),
-    }
-}
-
-/// Evaluates an expression that may be an aggregate, over a group.
-fn eval_with_agg(
-    g: &Graph,
-    columns: &[String],
-    group: &[&Vec<Datum>],
-    e: &Expr,
-) -> Result<Datum, ExecError> {
-    match e {
-        Expr::Agg(func, inner) => match func {
-            AggFunc::Count => match inner {
-                None => Ok(Datum::Val(Value::Int(group.len() as i64))),
-                Some(inner) => {
-                    let mut n = 0i64;
-                    for row in group {
-                        if !matches!(eval_scalar(g, columns, row, inner)?, Datum::Null) {
-                            n += 1;
-                        }
-                    }
-                    Ok(Datum::Val(Value::Int(n)))
-                }
-            },
-            AggFunc::Sum | AggFunc::Avg => {
-                let inner = inner.as_ref().ok_or(ExecError::MisplacedAggregate)?;
-                let mut sum_i: i64 = 0;
-                let mut sum_f: f64 = 0.0;
-                let mut all_int = true;
-                let mut n = 0usize;
-                for row in group {
-                    match eval_scalar(g, columns, row, inner)? {
-                        Datum::Val(Value::Int(v)) => {
-                            sum_i = sum_i.wrapping_add(v);
-                            sum_f += v as f64;
-                            n += 1;
-                        }
-                        Datum::Val(Value::Float(v)) => {
-                            all_int = false;
-                            sum_f += v;
-                            n += 1;
-                        }
-                        Datum::Null => {}
-                        _ => return Err(ExecError::NotAVertex("aggregate input".into())),
-                    }
-                }
-                if n == 0 {
-                    return Ok(if *func == AggFunc::Sum {
-                        Datum::Val(Value::Int(0))
-                    } else {
-                        Datum::Null
-                    });
-                }
-                Ok(match func {
-                    AggFunc::Sum if all_int => Datum::Val(Value::Int(sum_i)),
-                    AggFunc::Sum => Datum::Val(Value::Float(sum_f)),
-                    _ => Datum::Val(Value::Float(sum_f / n as f64)),
-                })
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let inner = inner.as_ref().ok_or(ExecError::MisplacedAggregate)?;
-                let mut best: Option<Value> = None;
-                for row in group {
-                    if let Datum::Val(v) = eval_scalar(g, columns, row, inner)? {
-                        best = Some(match best {
-                            None => v,
-                            Some(b) => {
-                                let keep_new = match func {
-                                    AggFunc::Min => v.total_cmp(&b) == std::cmp::Ordering::Less,
-                                    _ => v.total_cmp(&b) == std::cmp::Ordering::Greater,
-                                };
-                                if keep_new {
-                                    v
-                                } else {
-                                    b
-                                }
-                            }
-                        });
-                    }
-                }
-                Ok(best.map(Datum::Val).unwrap_or(Datum::Null))
-            }
-        },
-        // non-aggregate in a grouped query: take it from the first row
-        // (callers group by these expressions, so it is constant within
-        // the group; empty implicit groups yield Null)
-        other => match group.first() {
-            Some(row) => eval_scalar(g, columns, row, other),
-            None => Ok(Datum::Null),
-        },
-    }
-}
-
-fn eval_predicate(
-    g: &Graph,
-    columns: &[String],
-    row: &[Datum],
-    pred: &Predicate,
-) -> Result<bool, ExecError> {
-    for (l, op, r) in &pred.conjuncts {
-        let lv = eval_scalar(g, columns, row, l)?;
-        let rv = eval_scalar(g, columns, row, r)?;
-        let (Datum::Val(lv), Datum::Val(rv)) = (&lv, &rv) else {
-            // null or vertex comparisons are false (SQL-ish semantics)
-            return Ok(false);
-        };
-        let ord = lv.total_cmp(rv);
-        let pass = match op {
-            CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-            CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-            CmpOp::Lt => ord == std::cmp::Ordering::Less,
-            CmpOp::Le => ord != std::cmp::Ordering::Greater,
-            CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-            CmpOp::Ge => ord != std::cmp::Ordering::Less,
-        };
-        if !pass {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -747,6 +1152,97 @@ mod tests {
         assert_eq!(Datum::Val(Value::Int(3)).to_string(), "3");
         assert_eq!(Datum::Null.to_string(), "NULL");
         assert_eq!(Datum::Vertex(VertexId(7)).to_string(), "v7");
+    }
+
+    #[test]
+    fn group_by_merges_integral_float_with_int() {
+        let mut b = GraphBuilder::new();
+        for w in [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Float(-0.0),
+            Value::Int(0),
+        ] {
+            let j = b.add_vertex("Job");
+            b.set_vertex_prop(j, "w", w);
+        }
+        let g = b.finish();
+        // WHERE `=` (Value::total_cmp) holds 1 = 1.0 and -0.0 <> 0 ...
+        let eq = exec(
+            &g,
+            "SELECT COUNT(*) FROM (MATCH (j:Job) RETURN j AS J) WHERE J.w = 1",
+        );
+        assert_eq!(eq.scalar().unwrap().as_int(), Some(2));
+        // ... and GROUP BY agrees, on the hash path and on the run path
+        let t = exec(
+            &g,
+            "SELECT J.w, COUNT(*) FROM (MATCH (j:Job) RETURN j AS J) GROUP BY J.w",
+        );
+        let counts: Vec<i64> = t.rows.iter().map(|r| r[1].as_int().unwrap()).collect();
+        assert_eq!(counts, vec![2, 1, 1, 1]);
+        // a group shows its first row's value
+        assert_eq!(t.rows[0][0], Datum::Val(Value::Int(1)));
+        let t = exec(
+            &g,
+            "SELECT W, COUNT(*) FROM (SELECT J.w AS W FROM (MATCH (j:Job) RETURN j AS J))
+             GROUP BY W",
+        );
+        let counts: Vec<i64> = t.rows.iter().map(|r| r[1].as_int().unwrap()).collect();
+        assert_eq!(counts, vec![2, 1, 1, 1]);
+    }
+
+    #[test]
+    fn run_grouping_matches_hash_grouping() {
+        let g = lineage();
+        // GROUP BY A is a prefix of RETURN (A, B): folded as runs; GROUP
+        // BY B is not: hashed. Both keep first-occurrence group order.
+        let runs = exec(
+            &g,
+            "SELECT A, COUNT(*) AS N FROM (
+               MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[:IS_READ_BY]->(b:Job)
+               RETURN a AS A, b AS B
+             ) GROUP BY A",
+        );
+        let hashed = exec(
+            &g,
+            "SELECT B, COUNT(*) AS N FROM (
+               MATCH (a:Job)-[:WRITES_TO]->(f:File) (f:File)-[:IS_READ_BY]->(b:Job)
+               RETURN b AS B, a AS A
+             ) GROUP BY A, A",
+        );
+        let counts = |t: &Table| {
+            t.rows
+                .iter()
+                .map(|r| r[1].as_int().unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&runs), vec![2, 1]);
+        assert_eq!(counts(&hashed), vec![2, 1]);
+    }
+
+    #[test]
+    fn errors_are_deferred_until_a_row_reaches_them() {
+        let g = lineage();
+        let run = |src: &str| execute(&g, &parse(src).unwrap());
+        // no row reaches the unknown column: no error
+        let t = run("SELECT Z FROM (MATCH (j:Job) RETURN j AS J) WHERE J.CPU > 99999").unwrap();
+        assert!(t.is_empty());
+        // a WHERE error wins over a projection error
+        assert_eq!(
+            run("SELECT Z FROM (MATCH (j:Job) RETURN j AS J) WHERE Y = 1"),
+            Err(ExecError::UnknownColumn("Y".into()))
+        );
+        // a grouping error wins over an aggregate error
+        assert_eq!(
+            run("SELECT SUM(J) FROM (MATCH (j:Job) RETURN j AS J) GROUP BY Y"),
+            Err(ExecError::UnknownColumn("Y".into()))
+        );
+        // aggregate errors come in item order within the first group
+        assert_eq!(
+            run("SELECT MIN(Z), SUM(J) FROM (MATCH (j:Job) RETURN j AS J) GROUP BY J"),
+            Err(ExecError::UnknownColumn("Z".into()))
+        );
     }
 
     #[test]

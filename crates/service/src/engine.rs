@@ -8,23 +8,25 @@
 //!                                    with_delta,          ▼
 //!                                    refresh views)   Arc<EpochSnapshot>
 //!  readers ◄──────────────────────────────────────────────┘
-//!           execute(): plan-cache lookup → execute_planned
+//!           execute(): plan-cache lookup → plan_target → pattern match
+//!                      → relational stage
 //! ```
 //!
 //! Readers never block writers and writers never block readers: queries
 //! run against an immutable `Arc<EpochSnapshot>`, and the writer builds
 //! the successor state off to the side before atomically publishing it.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kaskade_core::{
     DdlOp, DeltaError, GraphDelta, Kaskade, KaskadeError, RefreshOptions, Snapshot,
 };
 use kaskade_graph::{ExternalIdTable, IdRemap, VertexId};
-use kaskade_query::{Query, Table};
+use kaskade_query::{execute_with_pattern, PatternPlan, Query, Table};
 
 use crate::metrics::{Metrics, MetricsReport};
 use crate::plan_cache::{plan_key, PlanCache};
@@ -764,9 +766,10 @@ impl Drop for Engine {
 /// `snap`. The whole call touches no lock except the cache probe.
 ///
 /// Read-path instrumentation: a `query` root span with
-/// `plan_cache_lookup` / `plan` / `relational` children, and a
-/// slow-query log entry (normalized AST + stage timings) when the total
-/// crosses the tracer's threshold. With tracing off and no threshold
+/// `plan_cache_lookup` / `plan` / `relational` children (the last with
+/// a `pattern_match` child), and a slow-query log entry (normalized AST
+/// with plan, pattern and relational timings) when the total crosses
+/// the tracer's threshold. With tracing off and no threshold
 /// set, the added cost is two relaxed atomic loads.
 fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Table, KaskadeError> {
     let tracer = &shared.tracer;
@@ -829,12 +832,29 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
             }
         }
     };
+    let target = match snap.state.plan_target(&planned) {
+        Ok(target) => target,
+        Err(e) => {
+            shared.metrics.record_query_error();
+            return Err(e);
+        }
+    };
     let rel = root.child(Stage::Relational);
-    let t1 = timing.then(Instant::now);
-    match snap.state.execute_planned(&planned) {
+    let exec_start = timing.then(Instant::now);
+    let pattern_time = Cell::new(Duration::ZERO);
+    let result = execute_with_pattern(target, &planned.query, &|pattern| {
+        let _span = rel.child(Stage::PatternMatch);
+        let t0 = timing.then(Instant::now);
+        let rows = PatternPlan::new(target, pattern)?.execute(target);
+        if let Some(t0) = t0 {
+            pattern_time.set(pattern_time.get() + t0.elapsed());
+        }
+        Ok(rows)
+    });
+    let exec_time = exec_start.map(|t| t.elapsed()).unwrap_or_default();
+    drop(rel);
+    match result {
         Ok(table) => {
-            let exec_time = t1.map(|t| t.elapsed()).unwrap_or_default();
-            drop(rel);
             let total = start.elapsed();
             shared.metrics.record_query(total);
             // workload sensing for the advisor: attribute the query's
@@ -855,18 +875,20 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
             }
             drop(root);
             if timing {
+                let pattern = pattern_time.get();
+                let relational = exec_time.saturating_sub(pattern);
                 tracer.observe_query(
                     total,
                     snap.epoch,
                     &key,
-                    &format!("plan={plan_time:?} exec={exec_time:?}"),
+                    &format!("plan={plan_time:?} pattern={pattern:?} relational={relational:?}"),
                 );
             }
             Ok(table)
         }
         Err(e) => {
             shared.metrics.record_query_error();
-            Err(e)
+            Err(KaskadeError::Execution(e))
         }
     }
 }
@@ -1172,6 +1194,35 @@ mod tests {
         assert_eq!(report.plan_cache_misses, 1);
         assert_eq!(report.plan_cache_hits, 4);
         assert!(report.plan_cache_hit_rate() > 0.7);
+    }
+
+    #[test]
+    fn read_spans_split_pattern_match_from_relational() {
+        let tracer = Arc::new(Tracer::new(true));
+        tracer.set_slow_query_threshold(Some(Duration::from_nanos(1)));
+        let engine = Engine::with_config(
+            Snapshot::new(lineage(), Schema::provenance()),
+            EngineConfig {
+                tracer: Some(Arc::clone(&tracer)),
+                ..EngineConfig::default()
+            },
+        );
+        engine.execute(&count_query()).unwrap();
+        let events = tracer.dump();
+        let find = |stage| {
+            events
+                .iter()
+                .find(|e| e.stage == stage)
+                .unwrap_or_else(|| panic!("no {stage} span in:\n{}", tracer.render_dump()))
+        };
+        let rel = find(Stage::Relational);
+        assert_eq!(rel.parent, find(Stage::Query).id);
+        assert_eq!(find(Stage::PatternMatch).parent, rel.id);
+        let slow = &find(Stage::SlowQuery).detail;
+        assert!(
+            slow.contains(" pattern=") && slow.contains(" relational="),
+            "{slow}"
+        );
     }
 
     #[test]

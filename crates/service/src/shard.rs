@@ -54,11 +54,12 @@
 //! engine's (enforced by the differential proptests in
 //! `tests/properties.rs`).
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kaskade_core::{
     stage_delta, DdlOp, GraphDelta, Kaskade, KaskadeError, Partition, RefreshDag, RefreshOptions,
@@ -806,7 +807,6 @@ fn execute_at(
     let start = Instant::now();
     let mut root = tracer.span(Stage::Query);
     root.set_epoch(snap.epoch);
-    let root_id = root.id();
     let key = plan_key(query);
     let mut plan_time = std::time::Duration::ZERO;
     let planned = {
@@ -833,134 +833,33 @@ fn execute_at(
             }
         }
     };
-    let target = match planned.view_id {
-        Some(id) => match snap.state.catalog().get_by_id(id) {
-            Some(view) => &view.graph,
-            None => return Err(KaskadeError::UnknownView(id)),
-        },
-        None => snap.state.graph(),
-    };
-    let n = shared.shards.len();
-    let partitioner = &*shared.partitioner;
-    // set when the pattern stage hands back to the relational stage,
-    // so the Relational span can be synthesized around code that runs
-    // inside `execute_with_pattern`
-    let pattern_done: std::cell::Cell<Option<Instant>> = std::cell::Cell::new(None);
+    let target = snap.state.plan_target(&planned)?;
+    let rel = root.child(Stage::Relational);
+    let exec_start = timing.then(Instant::now);
+    let pattern_time = Cell::new(Duration::ZERO);
     let result = kaskade_query::execute_with_pattern(target, &planned.query, &|pattern| {
+        let span = rel.child(Stage::PatternMatch);
+        let t0 = timing.then(Instant::now);
         let plan = PatternPlan::new(target, pattern)?;
         // below the scatter threshold, per-query thread spawn/join
         // would cost more than the matching itself: run the identical
         // unrestricted plan inline instead
-        if n <= 1 || target.vertex_count() < shared.scatter_min_vertices {
-            let out = plan.execute(target);
-            pattern_done.set(Some(Instant::now()));
-            return Ok(out);
+        let rows =
+            if shared.shards.len() <= 1 || target.vertex_count() < shared.scatter_min_vertices {
+                plan.execute(target)
+            } else {
+                scatter_gather(shared, snap.epoch, target, &plan, span.id())
+            };
+        if let Some(t0) = t0 {
+            pattern_time.set(pattern_time.get() + t0.elapsed());
         }
-        // scatter: one pool task per shard, anchors restricted to the
-        // shard's owned vertices (on a view graph the partitioner is
-        // still a valid disjoint+exhaustive split of the anchor domain,
-        // which is all correctness requires). The persistent pool
-        // replaces a per-query thread::scope: steady-state serving
-        // spawns no threads.
-        let traced = tracer.is_enabled();
-        let dispatch_start = Instant::now();
-        let slots: Vec<std::sync::Mutex<Option<PatternRows>>> =
-            (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-        {
-            let plan = &plan;
-            let slots = &slots;
-            shared.pool.run(n, &move |s| {
-                let scatter_start = Instant::now();
-                let anchor = |v: VertexId| partitioner.shard_of(v, target.vertex_type(v)) == s;
-                let rows = plan.execute_anchored(target, &anchor);
-                if traced {
-                    tracer.record(
-                        Stage::Scatter,
-                        root_id,
-                        scatter_start,
-                        scatter_start.elapsed(),
-                        snap.epoch,
-                        format!("shard{s} rows={}", rows.1.len()),
-                    );
-                }
-                *slots[s].lock().expect("scatter slot poisoned") = Some(rows);
-            });
-        }
-        if traced {
-            tracer.record(
-                Stage::PoolDispatch,
-                root_id,
-                dispatch_start,
-                dispatch_start.elapsed(),
-                snap.epoch,
-                format!("tasks={n}"),
-            );
-        }
-        let per_shard: Vec<PatternRows> = slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("scatter slot poisoned")
-                    .expect("scatter task completed")
-            })
-            .collect();
-        let gather_start = Instant::now();
-        // gather: per-shard row sets are sorted and disjointly
-        // anchored; a streaming k-way merge with on-the-fly dedup
-        // reproduces the unsharded DISTINCT row set without
-        // re-sorting the concatenation
-        let mut columns = Vec::new();
-        let mut iters: Vec<std::vec::IntoIter<Vec<VertexId>>> = Vec::with_capacity(n);
-        let mut total = 0usize;
-        for (cols, rows) in per_shard {
-            columns = cols;
-            total += rows.len();
-            iters.push(rows.into_iter());
-        }
-        let mut heads: Vec<Option<Vec<VertexId>>> = iters.iter_mut().map(Iterator::next).collect();
-        let mut merged: Vec<Vec<VertexId>> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, head) in heads.iter().enumerate() {
-                if let Some(row) = head {
-                    if best.is_none_or(|b| row < heads[b].as_ref().expect("best head present")) {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let row =
-                std::mem::replace(&mut heads[i], iters[i].next()).expect("best head was non-empty");
-            if merged.last() != Some(&row) {
-                merged.push(row);
-            }
-        }
-        if traced {
-            tracer.record(
-                Stage::Gather,
-                root_id,
-                gather_start,
-                gather_start.elapsed(),
-                snap.epoch,
-                format!("rows={}", merged.len()),
-            );
-        }
-        pattern_done.set(Some(Instant::now()));
-        Ok((columns, merged))
+        Ok(rows)
     });
+    let exec_time = exec_start.map(|t| t.elapsed()).unwrap_or_default();
+    drop(rel);
     match result {
         Ok(table) => {
             let total = start.elapsed();
-            if let (true, Some(t)) = (tracer.is_enabled(), pattern_done.get()) {
-                tracer.record(
-                    Stage::Relational,
-                    root_id,
-                    t,
-                    t.elapsed(),
-                    snap.epoch,
-                    String::new(),
-                );
-            }
             shared.metrics.record_query(total);
             // workload sensing for the advisor: credit the serving
             // view, or log the normalized shape of a base-graph miss
@@ -978,11 +877,13 @@ fn execute_at(
             }
             drop(root);
             if timing {
+                let pattern = pattern_time.get();
+                let relational = exec_time.saturating_sub(pattern);
                 tracer.observe_query(
                     total,
                     snap.epoch,
                     &key,
-                    &format!("plan={plan_time:?} total={total:?}"),
+                    &format!("plan={plan_time:?} pattern={pattern:?} relational={relational:?}"),
                 );
             }
             Ok(table)
@@ -992,6 +893,110 @@ fn execute_at(
             Err(KaskadeError::Execution(e))
         }
     }
+}
+
+/// Runs `plan` once per shard on the worker pool, each leg anchored on
+/// the shard's owned vertices, and merges the legs' sorted row sets.
+/// The scatter, dispatch and gather spans are children of `parent`.
+fn scatter_gather(
+    shared: &ShardedShared,
+    epoch: u64,
+    target: &Graph,
+    plan: &PatternPlan<'_>,
+    parent: u64,
+) -> PatternRows {
+    let tracer = &shared.tracer;
+    let n = shared.shards.len();
+    let partitioner = &*shared.partitioner;
+    // scatter: one pool task per shard, anchors restricted to the
+    // shard's owned vertices (on a view graph the partitioner is
+    // still a valid disjoint+exhaustive split of the anchor domain,
+    // which is all correctness requires). The persistent pool
+    // replaces a per-query thread::scope: steady-state serving
+    // spawns no threads.
+    let traced = tracer.is_enabled();
+    let dispatch_start = Instant::now();
+    let slots: Vec<std::sync::Mutex<Option<PatternRows>>> =
+        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
+    {
+        let slots = &slots;
+        shared.pool.run(n, &move |s| {
+            let scatter_start = Instant::now();
+            let anchor = |v: VertexId| partitioner.shard_of(v, target.vertex_type(v)) == s;
+            let rows = plan.execute_anchored(target, &anchor);
+            if traced {
+                tracer.record(
+                    Stage::Scatter,
+                    parent,
+                    scatter_start,
+                    scatter_start.elapsed(),
+                    epoch,
+                    format!("shard{s} rows={}", rows.1.len()),
+                );
+            }
+            *slots[s].lock().expect("scatter slot poisoned") = Some(rows);
+        });
+    }
+    if traced {
+        tracer.record(
+            Stage::PoolDispatch,
+            parent,
+            dispatch_start,
+            dispatch_start.elapsed(),
+            epoch,
+            format!("tasks={n}"),
+        );
+    }
+    let per_shard: Vec<PatternRows> = slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .expect("scatter slot poisoned")
+                .expect("scatter task completed")
+        })
+        .collect();
+    let gather_start = Instant::now();
+    // gather: per-shard row sets are sorted and disjointly
+    // anchored; a streaming k-way merge with on-the-fly dedup
+    // reproduces the unsharded DISTINCT row set without
+    // re-sorting the concatenation
+    let mut columns = Vec::new();
+    let mut iters: Vec<std::vec::IntoIter<Vec<VertexId>>> = Vec::with_capacity(n);
+    let mut total = 0usize;
+    for (cols, rows) in per_shard {
+        columns = cols;
+        total += rows.len();
+        iters.push(rows.into_iter());
+    }
+    let mut heads: Vec<Option<Vec<VertexId>>> = iters.iter_mut().map(Iterator::next).collect();
+    let mut merged: Vec<Vec<VertexId>> = Vec::with_capacity(total);
+    loop {
+        let mut best: Option<usize> = None;
+        for (i, head) in heads.iter().enumerate() {
+            if let Some(row) = head {
+                if best.is_none_or(|b| row < heads[b].as_ref().expect("best head present")) {
+                    best = Some(i);
+                }
+            }
+        }
+        let Some(i) = best else { break };
+        let row =
+            std::mem::replace(&mut heads[i], iters[i].next()).expect("best head was non-empty");
+        if merged.last() != Some(&row) {
+            merged.push(row);
+        }
+    }
+    if traced {
+        tracer.record(
+            Stage::Gather,
+            parent,
+            gather_start,
+            gather_start.elapsed(),
+            epoch,
+            format!("rows={}", merged.len()),
+        );
+    }
+    (columns, merged)
 }
 
 /// The router worker: assembles write batches with the *same*

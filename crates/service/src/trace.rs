@@ -80,9 +80,13 @@ pub enum Stage {
     Gather,
     /// Read path: one query end to end (the read-path root span).
     Query,
-    /// Read path: the relational execution stage over the chosen plan
-    /// (child of `Query`).
+    /// Read path: executing the chosen plan — pattern match plus the
+    /// relational stage over its rows (child of `Query`).
     Relational,
+    /// Read path: the pattern match that feeds the relational stage
+    /// (child of `Relational`; on a sharded engine, the parent of the
+    /// scatter legs, pool dispatch and gather).
+    PatternMatch,
     /// A query that crossed the slow-query threshold (detail =
     /// normalized AST and stage timings).
     SlowQuery,
@@ -108,6 +112,7 @@ impl Stage {
             Stage::Gather => "gather",
             Stage::Query => "query",
             Stage::Relational => "relational",
+            Stage::PatternMatch => "pattern_match",
             Stage::SlowQuery => "slow_query",
         }
     }

@@ -587,9 +587,22 @@ fn sharded_tracer_records_the_whole_pipeline() {
         Stage::Scatter,
         Stage::Gather,
         Stage::Relational,
+        Stage::PatternMatch,
     ] {
         assert!(has(stage), "no {stage} event in:\n{}", tracer.render_dump());
     }
+    // the pattern match runs inside the relational stage, and the
+    // scatter legs inside the pattern match
+    let parent_of = |stage: Stage| {
+        let child = events.iter().find(|e| e.stage == stage).unwrap();
+        events
+            .iter()
+            .find(|e| e.id == child.parent)
+            .map(|e| e.stage)
+    };
+    assert_eq!(parent_of(Stage::PatternMatch), Some(Stage::Relational));
+    assert_eq!(parent_of(Stage::Scatter), Some(Stage::PatternMatch));
+    assert_eq!(parent_of(Stage::Gather), Some(Stage::PatternMatch));
     // the merged publish is part of the apply, not a separate epoch
     let merge = events
         .iter()
