@@ -513,7 +513,7 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
             println!(
                 "{{\"shards\":{},\"reads\":{},\"reads_per_sec\":{:.0},\"read_p50_ns\":{},\
                  \"read_p99_ns\":{},\"apply_p50_ns\":{},\"apply_p99_ns\":{},\"writes\":{},\
-                 \"pool_dispatches\":{},\"spawns_during_serve\":{},\"final_consistent\":{}}}",
+                 \"pool_dispatches\":{},\"final_consistent\":{}}}",
                 r.shards,
                 r.reads,
                 r.reads_per_sec,
@@ -523,7 +523,6 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
                 r.apply_p99.as_nanos(),
                 r.writes,
                 r.pool_dispatches,
-                r.spawns_during_serve,
                 r.final_consistent,
             );
         }
@@ -535,7 +534,7 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
         d.short_name()
     );
     println!(
-        "    {:>7} {:>9} {:>10} {:>11} {:>11} {:>11} {:>11} {:>7} {:>10} {:>7} {:>6}",
+        "    {:>7} {:>9} {:>10} {:>11} {:>11} {:>11} {:>11} {:>7} {:>10} {:>6}",
         "shards",
         "reads",
         "reads/s",
@@ -545,12 +544,11 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
         "apply p99",
         "writes",
         "dispatches",
-        "spawns",
         "ok"
     );
     for r in &rows {
         println!(
-            "    {:>7} {:>9} {:>10.0} {:>11} {:>11} {:>11} {:>11} {:>7} {:>10} {:>7} {:>6}",
+            "    {:>7} {:>9} {:>10.0} {:>11} {:>11} {:>11} {:>11} {:>7} {:>10} {:>6}",
             r.shards,
             r.reads,
             r.reads_per_sec,
@@ -560,13 +558,11 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
             format!("{:.1?}", r.apply_p99),
             r.writes,
             r.pool_dispatches,
-            r.spawns_during_serve,
             if r.final_consistent { "yes" } else { "NO" },
         );
     }
     println!("\n  (the publish path assembles the global CSR from the shard CSRs on the");
-    println!("   persistent pool instead of re-running the whole apply serially; `spawns`");
-    println!("   counts ad-hoc scoped threads during serving and must stay 0. CI's");
+    println!("   persistent pool instead of re-running the whole apply serially. CI's");
     println!("   publish-scaling gate bounds the 8-shard mean publish latency at 1.3x");
     println!("   the 1-shard run on >=8-core runners)");
 }

@@ -12,9 +12,7 @@ use kaskade_core::{
 use kaskade_datasets::Dataset;
 use kaskade_graph::{degree_ccdf, power_law_exponent, GraphStats};
 use kaskade_query::parse;
-use kaskade_service::{
-    drive, DriveConfig, Engine, EngineConfig, ShardedEngine, SubmitOpts, Tracer, Workload,
-};
+use kaskade_service::{drive, DriveConfig, Engine, EngineConfig, SubmitOpts, Tracer, Workload};
 
 use crate::setup::{k_hop_pair_count, Env};
 use crate::workload::{run, QueryId};
@@ -463,8 +461,8 @@ pub fn serve_churn(
 }
 
 /// One row of the sharded-ingest experiment: the same churn delta
-/// sequence driven through a single engine and a sharded engine,
-/// comparing where the write path spends its time.
+/// sequence driven through a one-partition engine and a partitioned
+/// engine, comparing where the write path spends its time.
 #[derive(Debug, Clone)]
 pub struct ShardedServeRow {
     /// Shard count of the sharded engine for this row.
@@ -475,18 +473,20 @@ pub struct ShardedServeRow {
     /// incremental stats, and view maintenance — the whole serial
     /// write path).
     pub single_apply: Duration,
-    /// Total apply+publish time of the sharded coordinator (global
-    /// apply, parallel view refresh, stats merge).
+    /// Total end-to-end apply+publish time of the partitioned engine
+    /// (shard applies, merged publish, parallel view refresh, stats
+    /// merge).
     pub coordinator_apply: Duration,
-    /// Each shard engine's own ingest total (sub-delta apply and
-    /// per-shard incremental statistics). Shards run concurrently, so
-    /// the effective per-batch ingest cost is the max, not the sum.
+    /// Each partition's shard-local ingest total (sub-delta apply and
+    /// per-shard incremental statistics). Partitions apply
+    /// concurrently, so the effective per-batch ingest cost is the
+    /// max, not the sum.
     pub shard_apply: Vec<Duration>,
     /// Whether the blast-radius query returned byte-identical tables
     /// from both engines after the final flush.
     pub results_equal: bool,
-    /// Whether the final sharded snapshot passed
-    /// [`kaskade_service::ShardedSnapshot::is_coherent`].
+    /// Whether the final partitioned snapshot passed
+    /// [`kaskade_service::EpochSnapshot::is_coherent`].
     pub coherent: bool,
 }
 
@@ -506,8 +506,9 @@ impl ShardedServeRow {
 
 /// Sharded ingest: pre-scripts `steps` churn deltas (derived
 /// sequentially, so they stay schema- and liveness-valid under any
-/// batching), feeds the identical sequence to a single [`Engine`] and
-/// to a [`ShardedEngine`] per shard count, and reports per-shard
+/// batching), feeds the identical sequence to a one-partition
+/// [`Engine`] and to an engine partitioned per shard count, and reports
+/// per-partition
 /// ingest timings against the single-engine write path, plus the
 /// differential checks (byte-identical query results, coherent final
 /// snapshot).
@@ -547,59 +548,45 @@ pub fn serve_sharded(
             // is pre-scripted in one fixed id space, and the point
             // here is comparing ingest time, not memory (the
             // `serve_compaction` experiment covers that)
-            let single = Engine::with_config(
-                base.clone(),
-                EngineConfig {
-                    compact_dead_ratio: f64::INFINITY,
-                    ..EngineConfig::default()
-                },
-            );
-            let sharded = ShardedEngine::with_config(
-                base.clone(),
-                kaskade_service::ShardedConfig {
-                    compact_dead_ratio: f64::INFINITY,
-                    ..kaskade_service::ShardedConfig::hash(shards)
-                },
-            );
-            for d in &deltas {
-                // a full queue only means the worker is behind: drain
-                // and resubmit so both engines ingest every delta
-                use kaskade_service::SubmitError;
-                loop {
-                    match single.submit(d.clone(), SubmitOpts::default()) {
-                        Ok(()) => break,
-                        Err(SubmitError::Backpressure) => {
-                            single.flush();
-                        }
-                        Err(_) => break,
+            let engines = [1, shards].map(|partitions| {
+                Engine::with_config(
+                    base.clone(),
+                    EngineConfig {
+                        compact_dead_ratio: f64::INFINITY,
+                        ..EngineConfig::hash(partitions)
+                    },
+                )
+            });
+            for engine in &engines {
+                for d in &deltas {
+                    // a full queue only means the worker is behind:
+                    // drain and resubmit so every engine ingests every
+                    // delta
+                    while let Err(kaskade_service::SubmitError::Backpressure) =
+                        engine.submit(d.clone(), SubmitOpts::default())
+                    {
+                        engine.flush();
                     }
                 }
-                loop {
-                    match sharded.submit(d.clone(), SubmitOpts::default()) {
-                        Ok(()) => break,
-                        Err(SubmitError::Backpressure) => {
-                            sharded.flush();
-                        }
-                        Err(_) => break,
-                    }
-                }
+                engine.flush();
             }
-            single.flush();
-            sharded.flush();
+            let [single, sharded] = &engines;
             let results_equal = match (single.execute(&query), sharded.execute(&query)) {
                 (Ok(a), Ok(b)) => a == b,
                 _ => false,
             };
-            let snap = sharded.snapshot();
-            let report = sharded.metrics();
             ShardedServeRow {
                 shards,
                 writes: deltas.len() as u64,
                 single_apply: single.metrics().apply_total,
-                coordinator_apply: report.global.apply_total,
-                shard_apply: report.per_shard.iter().map(|s| s.apply_total).collect(),
+                coordinator_apply: sharded.metrics().apply_total,
+                shard_apply: sharded
+                    .shard_reports()
+                    .iter()
+                    .map(|s| s.apply_total)
+                    .collect(),
                 results_equal,
-                coherent: snap.is_coherent(),
+                coherent: sharded.snapshot().is_coherent(),
             }
         })
         .collect()
@@ -610,7 +597,7 @@ pub fn serve_sharded(
 /// merged publish path and the persistent worker pool.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
-    /// Shard count (1 = the unsharded [`Engine`]).
+    /// Partition count (1 = unpartitioned).
     pub shards: usize,
     /// Successful reads over the run.
     pub reads: u64,
@@ -630,10 +617,6 @@ pub struct ScaleRow {
     /// Multi-task dispatches the persistent worker pool served
     /// (scatter, merged publish, pool-backed refresh).
     pub pool_dispatches: u64,
-    /// Ad-hoc `thread::scope` spawns observed during the run — the
-    /// steady-state serving paths must keep this at zero now that the
-    /// persistent pool exists.
-    pub spawns_during_serve: u64,
     /// Whether the final snapshot passed the full consistency oracle.
     pub final_consistent: bool,
 }
@@ -677,21 +660,8 @@ pub fn serve_scale(
     shard_counts
         .iter()
         .map(|&shards| {
-            let spawns_before = kaskade_graph::thread_spawns();
-            let (outcome, dispatches) = if shards <= 1 {
-                let engine = Engine::new(base.clone());
-                let outcome = drive(&engine, &workload, &cfg);
-                let dispatches = engine.pool().dispatches();
-                (outcome, dispatches)
-            } else {
-                let engine = ShardedEngine::with_config(
-                    base.clone(),
-                    kaskade_service::ShardedConfig::hash(shards),
-                );
-                let outcome = drive(&engine, &workload, &cfg);
-                let dispatches = engine.pool().dispatches();
-                (outcome, dispatches)
-            };
+            let engine = Engine::with_config(base.clone(), EngineConfig::hash(shards));
+            let outcome = drive(&engine, &workload, &cfg);
             ScaleRow {
                 shards,
                 reads: outcome.reads,
@@ -701,8 +671,7 @@ pub fn serve_scale(
                 apply_p50: outcome.report.apply_p50,
                 apply_p99: outcome.report.apply_p99,
                 writes: outcome.writes,
-                pool_dispatches: dispatches,
-                spawns_during_serve: kaskade_graph::thread_spawns() - spawns_before,
+                pool_dispatches: engine.pool().dispatches(),
                 final_consistent: outcome.final_consistent,
             }
         })
@@ -967,7 +936,7 @@ pub fn serve_recovery(seed: u64, steps: u64, cadences: &[u64]) -> Vec<RecoveryRo
 pub struct AdaptiveRow {
     /// Admission policy driven ("static" or "adaptive").
     pub policy: &'static str,
-    /// Shard count (1 = the unsharded [`Engine`]).
+    /// Partition count (1 = unpartitioned).
     pub shards: usize,
     /// Successful reads over the run.
     pub reads: u64,
@@ -1005,7 +974,9 @@ pub struct AdaptiveRow {
 /// with zero consistency violations and zero re-materializations of
 /// surviving views; the static run must not migrate at all. Those are
 /// the properties CI's `report adaptive` gate and the checked-in
-/// `BENCH_adaptive.json` pin down.
+/// `BENCH_adaptive.json` pin down. Each run serves at least `duration`;
+/// the adaptive run then continues until the advisor has committed a
+/// migration or ticked `MAX_ADVISOR_TICKS` times.
 pub fn serve_adaptive(
     dataset: Dataset,
     scale: usize,
@@ -1015,8 +986,11 @@ pub fn serve_adaptive(
     duration: Duration,
     advise_every: Duration,
 ) -> Vec<AdaptiveRow> {
-    use kaskade_service::{Advisor, AdvisorConfig};
+    use kaskade_service::{drive_until, Advisor, AdvisorConfig};
     use std::sync::Arc;
+    /// Advisor ticks after which an adaptive run stops waiting for a
+    /// committed migration.
+    const MAX_ADVISOR_TICKS: u64 = 200;
     let graph = dataset.generate(scale, seed);
     // EMPTY catalog: every view in the adaptive run's final catalog got
     // there through advisor-issued live DDL
@@ -1037,45 +1011,40 @@ pub fn serve_adaptive(
         every: advise_every,
         ..AdvisorConfig::default()
     };
-    let finish = |advisor: Option<Advisor>| {
-        advisor.map_or((0, 0), |mut advisor| {
-            advisor.stop();
-            (advisor.ticks(), advisor.migrations())
-        })
-    };
 
     let mut rows = Vec::new();
     for &shards in shard_counts {
         for (policy, adaptive) in [("static", false), ("adaptive", true)] {
-            let tracer = Arc::new(Tracer::new(false));
-            let (outcome, ticks, migrations) = if shards <= 1 {
-                let engine = Arc::new(Engine::new(base.clone()));
-                let advisor = adaptive.then(|| {
-                    Advisor::start(
-                        Arc::clone(&engine),
-                        Arc::clone(&tracer),
-                        advisor_cfg.clone(),
-                    )
-                });
-                let outcome = drive(&*engine, &workload, &cfg);
-                let (ticks, migrations) = finish(advisor);
-                (outcome, ticks, migrations)
-            } else {
-                let engine = Arc::new(ShardedEngine::with_config(
-                    base.clone(),
-                    kaskade_service::ShardedConfig::hash(shards),
-                ));
-                let advisor = adaptive.then(|| {
-                    Advisor::start(
-                        Arc::clone(&engine),
-                        Arc::clone(&tracer),
-                        advisor_cfg.clone(),
-                    )
-                });
-                let outcome = drive(&*engine, &workload, &cfg);
-                let (ticks, migrations) = finish(advisor);
-                (outcome, ticks, migrations)
+            let engine = Arc::new(Engine::with_config(
+                base.clone(),
+                EngineConfig::hash(shards),
+            ));
+            let mut advisor = adaptive.then(|| {
+                Advisor::start(
+                    Arc::clone(&engine),
+                    Arc::new(Tracer::new(false)),
+                    advisor_cfg.clone(),
+                )
+            });
+            // the adaptive run serves at least `duration`, then until
+            // the advisor has committed a migration (or given up after
+            // MAX_ADVISOR_TICKS ticks) — it ends on advisor progress,
+            // not on a wall clock a loaded machine could outrun
+            let progressed = || {
+                advisor.as_ref().is_none_or(|a| {
+                    let m = engine.metrics();
+                    m.views_created + m.views_dropped > 0 || a.ticks() >= MAX_ADVISOR_TICKS
+                })
             };
+            let outcome = drive_until(&engine, &workload, &cfg, &progressed);
+            let (ticks, migrations) = advisor.as_mut().map_or((0, 0), |a| {
+                a.stop();
+                (a.ticks(), a.migrations())
+            });
+            // read the committed DDL counters only now: a tick that
+            // landed after drive() took its report has been flushed by
+            // its own advise_once, and the advisor has stopped
+            let report = engine.metrics();
             rows.push(AdaptiveRow {
                 policy,
                 shards,
@@ -1084,10 +1053,10 @@ pub fn serve_adaptive(
                 p50: outcome.report.p50,
                 ticks,
                 migrations,
-                views_created: outcome.report.views_created,
-                views_dropped: outcome.report.views_dropped,
+                views_created: report.views_created,
+                views_dropped: report.views_dropped,
                 cache_hit_rate: outcome.report.plan_cache_hit_rate(),
-                rematerialized: outcome.report.views_rematerialized,
+                rematerialized: report.views_rematerialized,
                 consistency_violations: outcome.consistency_violations,
                 final_consistent: outcome.final_consistent,
             });
@@ -1152,11 +1121,12 @@ pub fn serve_dag(seed: u64, steps: u64) -> Vec<DagRow> {
     kaskade.materialize_view(ViewDef::SourceSink(SourceSinkDef::default()));
     let base = kaskade.snapshot();
 
-    [("serial", false), ("dag-parallel", true)]
+    let pool = kaskade_service::WorkerPool::with_default_threads();
+    [("serial", None), ("dag-parallel", Some(&*pool))]
         .into_iter()
-        .map(|(mode, parallel)| {
+        .map(|(mode, exec)| {
             let opts = RefreshOptions {
-                parallel,
+                exec: exec.map(|p| p as &dyn kaskade_graph::ParallelExec),
                 ..RefreshOptions::default()
             };
             let mut snap = base.clone();
@@ -1409,11 +1379,6 @@ mod tests {
         for r in &rows {
             assert!(r.final_consistent, "{}-shard: {r:?}", r.shards);
             assert!(r.writes > 0 && r.reads > 0, "{r:?}");
-            assert_eq!(
-                r.spawns_during_serve, 0,
-                "{}-shard serving spawned ad-hoc threads: {r:?}",
-                r.shards
-            );
         }
         // the sharded run scatters, merges, and refreshes on the pool
         assert!(
@@ -1453,13 +1418,15 @@ mod tests {
 
     #[test]
     fn serve_adaptive_migrates_online() {
+        // a short minimum window: the adaptive run then serves on
+        // until the advisor commits a migration (or hits its tick cap)
         let rows = serve_adaptive(
             Dataset::Prov,
             1,
             42,
             &[1],
             2,
-            Duration::from_millis(1_500),
+            Duration::from_millis(200),
             Duration::from_millis(40),
         );
         assert_eq!(rows.len(), 2);

@@ -31,7 +31,7 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use kaskade_graph::{
     DegreeChange, ExternalIdTable, Graph, GraphBuilder, GraphEditor, IdRemap, ParallelExec,
-    ScopedExec, Value, VertexId,
+    SerialExec, Value, VertexId,
 };
 
 use crate::views::ConnectorDef;
@@ -513,8 +513,8 @@ impl GraphDelta {
             .collect();
     }
 
-    /// Splits this delta into one sub-delta per shard, for the sharded
-    /// serving runtime's router:
+    /// Splits this delta into one sub-delta per shard, for the
+    /// partitioned serving engine's writer:
     ///
     /// - **Vertex insertions are broadcast**: every sub-delta carries
     ///   the full vertex list in order (so [`VRef::New`] indices — and,
@@ -999,7 +999,7 @@ pub(crate) fn connector_refresh(
             buckets[part_of(u).min(parts - 1)].push(u);
         }
         buckets.retain(|bucket| !bucket.is_empty());
-        let exec = exec.unwrap_or(&ScopedExec);
+        let exec = exec.unwrap_or(&SerialExec);
         type Derived = Vec<(VertexId, Vec<crate::materialize::ConnectorTarget>)>;
         let slots: Vec<std::sync::Mutex<Derived>> = buckets
             .iter()

@@ -37,7 +37,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use kaskade_graph::{Graph, GraphBuilder, ParallelExec, ScopedExec, Value, VertexId};
+use kaskade_graph::{Graph, GraphBuilder, ParallelExec, Value, VertexId};
 
 use crate::catalog::{Catalog, MaterializedView, ViewId};
 use crate::maintain::{connector_refresh, AppliedDelta};
@@ -80,8 +80,8 @@ pub struct Refreshed {
     pub rematerialized: bool,
 }
 
-/// Partitioned execution context for connector refresh: the sharded
-/// coordinator passes its vertex partitioner so each shard's worker
+/// Partitioned execution context for connector refresh: a partitioned
+/// serving engine passes its vertex partitioner so each shard's worker
 /// recomputes exactly the view edges that shard owns.
 #[derive(Clone, Copy)]
 pub struct Partition<'a> {
@@ -119,9 +119,8 @@ pub struct RefreshCtx<'a> {
     pub partition: Option<Partition<'a>>,
     /// The refreshed upstream view, for composed views.
     pub upstream: Option<Upstream<'a>>,
-    /// Where partitioned frontier recomputation runs. `None` falls back
-    /// to spawn-per-call [`ScopedExec`]; the serving runtime passes its
-    /// persistent worker pool.
+    /// Where partitioned frontier recomputation runs. `None` runs it
+    /// serially; the serving runtime passes its persistent worker pool.
     pub exec: Option<&'a dyn ParallelExec>,
 }
 
@@ -692,39 +691,25 @@ fn vertex_aggregator_refresh(
 }
 
 /// How a [`RefreshDag`] executes: worker-pool parallelism and connector
-/// partitioning.
-#[derive(Clone, Copy)]
+/// partitioning. The default refreshes serially and unpartitioned.
+#[derive(Clone, Copy, Default)]
 pub struct RefreshOptions<'a> {
-    /// Run each execution level's views on parallel workers (levels
-    /// with a single view always run inline).
-    pub parallel: bool,
-    /// Partitioned connector refresh (the sharded coordinator passes
-    /// its vertex partitioner).
+    /// Partitioned connector refresh (a partitioned serving engine
+    /// passes its vertex partitioner).
     pub partition: Option<Partition<'a>>,
-    /// Where level-parallel refresh and partitioned frontier work run.
-    /// `None` falls back to spawn-per-call [`ScopedExec`]; serving
-    /// runtimes pass their persistent worker pool so steady-state
-    /// publishes never spawn a thread.
+    /// Where level-parallel refresh and partitioned frontier work run
+    /// (levels with a single view always run inline). `None` refreshes
+    /// serially; serving runtimes pass their persistent worker pool so
+    /// steady-state publishes never spawn a thread.
     pub exec: Option<&'a dyn ParallelExec>,
 }
 
 impl std::fmt::Debug for RefreshOptions<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RefreshOptions")
-            .field("parallel", &self.parallel)
             .field("partition", &self.partition)
             .field("exec", &self.exec.map(|_| "dyn ParallelExec"))
             .finish()
-    }
-}
-
-impl Default for RefreshOptions<'_> {
-    fn default() -> Self {
-        RefreshOptions {
-            parallel: true,
-            partition: None,
-            exec: None,
-        }
     }
 }
 
@@ -835,7 +820,7 @@ impl RefreshDag {
     }
 
     /// Refreshes every catalog view after `applied`, level by level —
-    /// views within a level run concurrently when `opts.parallel` —
+    /// views within a level run concurrently on `opts.exec` —
     /// and returns the refreshed catalog (each view replaced in its
     /// own slot, so [`ViewId`]s and tombstones stay stable) plus a
     /// [`RefreshReport`].
@@ -894,10 +879,9 @@ impl RefreshDag {
                 let refreshed = view.def.maintainer_in(ctx).refresh(&view.graph, applied);
                 (refreshed, t0.elapsed())
             };
-            let outs: Vec<(usize, Refreshed, std::time::Duration)> = if opts.parallel
-                && level.len() > 1
+            let outs: Vec<(usize, Refreshed, std::time::Duration)> = if let Some(exec) =
+                opts.exec.filter(|_| level.len() > 1)
             {
-                let exec = opts.exec.unwrap_or(&ScopedExec);
                 let run = &run;
                 let done: &[Option<Refreshed>] = &results;
                 let slots: Vec<std::sync::Mutex<Option<(usize, Refreshed, std::time::Duration)>>> =
@@ -1131,15 +1115,7 @@ mod tests {
         let mut d2 = GraphDelta::new();
         d2.del_vertex(VertexId(2));
         let applied2 = crate::maintain::apply_delta(&applied.graph, &d2);
-        let (refreshed2, report2) = dag.refresh(
-            &refreshed,
-            &applied2,
-            &RefreshOptions {
-                parallel: false,
-                partition: None,
-                exec: None,
-            },
-        );
+        let (refreshed2, report2) = dag.refresh(&refreshed, &applied2, &RefreshOptions::default());
         assert_eq!(report2.rematerialized, 0);
         for view in refreshed2.iter() {
             let scratch = materialize(&applied2.graph, &view.def);

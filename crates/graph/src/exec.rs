@@ -1,20 +1,14 @@
 //! Pluggable parallel execution: the seam between graph-level
 //! algorithms that *can* fan work out (CSR assembly, column clones)
-//! and the runtime that decides *how* (a persistent worker pool in the
-//! serving layer, scoped threads in batch tools, serial in tests).
+//! and the runtime that decides *how* (the serving layer's persistent
+//! worker pool, or [`SerialExec`] when no pool is at hand).
 //!
 //! The contract is deliberately tiny — [`ParallelExec::run`] executes
 //! `task(0)..task(n-1)`, in any order, on any threads, returning only
 //! when every index has completed — so the trait stays object-safe and
 //! implementations stay auditable. Panics in a task must propagate to
-//! the caller of `run` (all three implementations here do, and the
-//! serving runtime's `WorkerPool` does too).
-//!
-//! [`ScopedExec`] is the spawn-per-call fallback; every use bumps a
-//! process-wide counter ([`thread_spawns`]) so tests can assert that a
-//! steady-state serving path never falls back to spawning.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! the caller of `run` (`SerialExec` does trivially, and the serving
+//! runtime's `WorkerPool` does too).
 
 /// Executes `n` independent tasks, possibly in parallel.
 ///
@@ -46,49 +40,6 @@ impl ParallelExec for SerialExec {
 
     fn parallelism(&self) -> usize {
         1
-    }
-}
-
-/// Process-wide count of threads spawned by [`ScopedExec`] — the
-/// "did anything fall back to spawning?" test hook.
-static SCOPED_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Threads spawned by [`ScopedExec`] since process start. Serving
-/// runtimes route all steady-state parallelism through a persistent
-/// pool; tests assert this counter stays flat while serving.
-pub fn thread_spawns() -> u64 {
-    SCOPED_SPAWNS.load(Ordering::Relaxed)
-}
-
-/// Spawns one scoped thread per task — the fallback when no persistent
-/// pool is available. Counted by [`thread_spawns`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScopedExec;
-
-impl ParallelExec for ScopedExec {
-    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        match n {
-            0 => {}
-            1 => task(0),
-            _ => {
-                SCOPED_SPAWNS.fetch_add(n as u64 - 1, Ordering::Relaxed);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (1..n).map(|i| scope.spawn(move || task(i))).collect();
-                    let caller = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task(0)));
-                    // surface the original payload, not scope()'s
-                    // generic "a scoped thread panicked"
-                    let mut payload = caller.err();
-                    for handle in handles {
-                        if let Err(p) = handle.join() {
-                            payload.get_or_insert(p);
-                        }
-                    }
-                    if let Some(p) = payload {
-                        std::panic::resume_unwind(p);
-                    }
-                });
-            }
-        }
     }
 }
 
@@ -150,13 +101,40 @@ impl<T> SharedSlice<T> {
     }
 }
 
+/// Spawns one scoped thread per task: the parallel executor for this
+/// crate's tests, which have no persistent pool to hand.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ScopedThreads;
+
+#[cfg(test)]
+impl ParallelExec for ScopedThreads {
+    fn run(&self, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || task(i))).collect();
+            // surface the original payload, not scope()'s generic "a
+            // scoped thread panicked"
+            let mut payload = None;
+            for handle in handles {
+                if let Err(p) = handle.join() {
+                    payload.get_or_insert(p);
+                }
+            }
+            if let Some(p) = payload {
+                std::panic::resume_unwind(p);
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn serial_and_scoped_cover_every_index() {
-        for exec in [&SerialExec as &dyn ParallelExec, &ScopedExec] {
+        for exec in [&SerialExec as &dyn ParallelExec, &ScopedThreads] {
             for n in [0usize, 1, 2, 7] {
                 let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
                 exec.run(n, &|i| {
@@ -168,21 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_exec_counts_spawns() {
-        let before = thread_spawns();
-        ScopedExec.run(4, &|_| {});
-        assert_eq!(thread_spawns() - before, 3);
-        // n <= 1 never spawns
-        let before = thread_spawns();
-        ScopedExec.run(1, &|_| {});
-        ScopedExec.run(0, &|_| {});
-        assert_eq!(thread_spawns(), before);
-    }
-
-    #[test]
     #[should_panic(expected = "task boom")]
     fn scoped_exec_propagates_panics() {
-        ScopedExec.run(3, &|i| {
+        ScopedThreads.run(3, &|i| {
             if i == 2 {
                 panic!("task boom");
             }
@@ -208,7 +174,7 @@ mod tests {
     fn shared_slice_disjoint_writes_land() {
         let mut data = vec![0u32; 64];
         let shared = SharedSlice::new(&mut data);
-        ScopedExec.run(4, &|w| {
+        ScopedThreads.run(4, &|w| {
             for i in (w * 16)..(w * 16 + 16) {
                 // Safety: each worker owns a disjoint 16-element range.
                 unsafe { shared.write(i, i as u32) };

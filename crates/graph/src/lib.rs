@@ -50,7 +50,7 @@ mod value;
 pub use codec::{crc32, CodecError, Dec, Enc};
 pub use compact::IdRemap;
 pub use edit::GraphEditor;
-pub use exec::{chunk_ranges, thread_spawns, ParallelExec, ScopedExec, SerialExec};
+pub use exec::{chunk_ranges, ParallelExec, SerialExec};
 pub use extid::{ExternalIdError, ExternalIdTable};
 pub use graph::{EdgeId, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, Symbol};

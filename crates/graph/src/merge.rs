@@ -103,7 +103,7 @@ impl GraphEditor {
     /// the shard CSRs in parallel — see the module docs. Produces a
     /// graph identical to [`GraphEditor::finish`] whenever the shard
     /// graphs' edge liveness agrees with this editor's (which holds by
-    /// construction on the sharded router: the same retractions were
+    /// construction on a partitioned engine: the same retractions were
     /// routed to the shards).
     ///
     /// - `shards[k]` must hold every vertex slot of this editor and
@@ -368,7 +368,7 @@ pub fn same_dense_graph(a: &Graph, b: &Graph) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ScopedExec, SerialExec};
+    use crate::exec::{ScopedThreads, SerialExec};
     use crate::graph::GraphBuilder;
     use crate::Value;
 
@@ -414,7 +414,7 @@ mod tests {
     fn edit_parallel_matches_edit() {
         let g = toy();
         let a = g.edit().finish();
-        let b = g.edit_parallel(&ScopedExec).finish();
+        let b = g.edit_parallel(&ScopedThreads).finish();
         same_dense_graph(&a, &b).expect("parallel clone must be identical");
     }
 
@@ -484,7 +484,7 @@ mod tests {
             ed.remove_edge(EdgeId(0));
             ed.finish()
         };
-        let merged = ged.finish_merged(&shards, &owners, &edge_global, &ScopedExec);
+        let merged = ged.finish_merged(&shards, &owners, &edge_global, &ScopedThreads);
         same_dense_graph(&serial, &merged).expect("merged publish must be identical");
     }
 

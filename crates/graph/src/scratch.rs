@@ -26,31 +26,54 @@ const POOL_DEPTH: usize = 8;
 /// should not be pinned forever).
 const MAX_POOLED_CAPACITY: usize = 16 << 20;
 
-static U32_POOL: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
+/// A bounded stack of recyclable `Vec<u32>` buffers.
+struct U32Pool(Mutex<Vec<Vec<u32>>>);
+
+impl U32Pool {
+    const fn new() -> Self {
+        U32Pool(Mutex::new(Vec::new()))
+    }
+
+    fn take(&self, capacity: usize) -> Vec<u32> {
+        let mut pool = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        match pool.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.reserve(capacity);
+                buf
+            }
+            None => Vec::with_capacity(capacity),
+        }
+    }
+
+    fn give(&self, buf: Vec<u32>) {
+        if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
+            return;
+        }
+        let mut pool = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if pool.len() < POOL_DEPTH {
+            pool.push(buf);
+        }
+    }
+
+    #[cfg(test)]
+    fn depth(&self) -> usize {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+}
+
+/// The process-wide pool behind [`take_u32`] / [`give_u32`].
+static U32_POOL: U32Pool = U32Pool::new();
 
 /// Takes a cleared `Vec<u32>` with at least `capacity` spare capacity,
 /// reusing a pooled buffer when one is available.
 pub(crate) fn take_u32(capacity: usize) -> Vec<u32> {
-    let mut pool = U32_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    match pool.pop() {
-        Some(mut buf) => {
-            buf.clear();
-            buf.reserve(capacity);
-            buf
-        }
-        None => Vec::with_capacity(capacity),
-    }
+    U32_POOL.take(capacity)
 }
 
 /// Returns a buffer to the pool for the next rebuild.
 pub(crate) fn give_u32(buf: Vec<u32>) {
-    if buf.capacity() == 0 || buf.capacity() > MAX_POOLED_CAPACITY {
-        return;
-    }
-    let mut pool = U32_POOL.lock().unwrap_or_else(|e| e.into_inner());
-    if pool.len() < POOL_DEPTH {
-        pool.push(buf);
-    }
+    U32_POOL.give(buf)
 }
 
 /// A `vec![0u32; len]` equivalent drawn from the pool.
@@ -64,20 +87,21 @@ pub(crate) fn take_u32_zeroed(len: usize) -> Vec<u32> {
 mod tests {
     use super::*;
 
+    // each test drives a pool of its own: the process-wide pool is
+    // shared with every other test that rebuilds a graph concurrently
+
     #[test]
     fn buffers_recycle_through_the_pool() {
-        let mut buf = take_u32(100);
+        let pool = U32Pool::new();
+        let mut buf = pool.take(100);
         buf.extend(0..100);
         let ptr = buf.as_ptr();
-        let cap = buf.capacity();
-        give_u32(buf);
+        pool.give(buf);
         // the very next take of a fitting size reuses the allocation
-        let again = take_u32(50);
-        if again.capacity() == cap {
-            assert_eq!(again.as_ptr(), ptr);
-        }
+        let again = pool.take(50);
+        assert_eq!(again.as_ptr(), ptr);
         assert!(again.is_empty());
-        give_u32(again);
+        pool.give(again);
     }
 
     #[test]
@@ -92,10 +116,11 @@ mod tests {
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        give_u32(Vec::new()); // no capacity: dropped silently
-        let depth_before = U32_POOL.lock().unwrap().len();
+        let pool = U32Pool::new();
+        pool.give(Vec::new()); // no capacity: dropped silently
+        let depth_before = pool.depth();
         let huge = Vec::with_capacity(MAX_POOLED_CAPACITY + 1);
-        give_u32(huge);
-        assert_eq!(U32_POOL.lock().unwrap().len(), depth_before);
+        pool.give(huge);
+        assert_eq!(pool.depth(), depth_before);
     }
 }

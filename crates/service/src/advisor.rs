@@ -41,7 +41,7 @@ use std::time::Duration;
 use kaskade_core::{select_views, DdlOp, SelectionConfig, ViewId};
 use kaskade_query::Query;
 
-use crate::drive::ServingBackend;
+use crate::engine::Engine;
 use crate::metrics::Metrics;
 use crate::trace::{Stage, Tracer};
 
@@ -116,14 +116,14 @@ impl AdvisorTick {
 /// selection against the live statistics, diff, and issue DDL under
 /// the hysteresis guards. The background [`Advisor`] calls this on its
 /// cadence; tests and the CLI gate call it directly for determinism.
-pub fn advise_once<B: ServingBackend>(
-    engine: &B,
+pub fn advise_once(
+    engine: &Engine,
     cfg: &AdvisorConfig,
     state: &mut AdvisorState,
     tracer: &Tracer,
 ) -> AdvisorTick {
     let mut span = tracer.span(Stage::Advise);
-    let metrics: &Metrics = engine.sensor_metrics();
+    let metrics: &Metrics = engine.metrics_handle();
     let misses = metrics.drain_misses();
     let benefits = metrics.view_benefits();
     let mut tick = AdvisorTick {
@@ -141,7 +141,9 @@ pub fn advise_once<B: ServingBackend>(
         .collect();
 
     // diff the chosen set against the live catalog under one snapshot
-    let (epoch, live, creations) = engine.with_current_state(|epoch, snap| {
+    let (epoch, live, creations) = {
+        let current = engine.snapshot();
+        let snap = &current.state;
         let live: Vec<(ViewId, String)> = snap
             .catalog()
             .iter_with_ids()
@@ -161,8 +163,8 @@ pub fn advise_once<B: ServingBackend>(
                 .cloned()
                 .collect()
         };
-        (epoch, live, creations)
-    });
+        (current.epoch, live, creations)
+    };
 
     // dwell bookkeeping: stamp newly observed views, forget dead slots
     state
@@ -233,7 +235,7 @@ pub fn advise_once<B: ServingBackend>(
         }
     }
     if tick.migrations() > 0 {
-        engine.flush_writes();
+        engine.flush();
         metrics.record_advisor_migrations(tick.migrations());
     }
 
@@ -241,18 +243,18 @@ pub fn advise_once<B: ServingBackend>(
     state.last_answered = benefits.iter().map(|b| (b.id, b.answered)).collect();
     // newly created views start their dwell clock at the epoch their
     // DDL published (flushed above, so the cell has advanced past it)
-    let epoch_now = engine.with_current_state(|e, _| e);
+    let current = engine.snapshot();
+    let epoch_now = current.epoch;
     for created in &tick.created {
-        engine.with_current_state(|_, snap| {
-            if let Some((id, _)) = snap
-                .catalog()
-                .iter_with_ids()
-                .map(|(id, v)| (id, v.def.id()))
-                .find(|(_, did)| did == created)
-            {
-                state.seen_at.push((id, epoch_now));
-            }
-        });
+        if let Some((id, _)) = current
+            .state
+            .catalog()
+            .iter_with_ids()
+            .map(|(id, v)| (id, v.def.id()))
+            .find(|(_, did)| did == created)
+        {
+            state.seen_at.push((id, epoch_now));
+        }
     }
 
     span.set_epoch(epoch_now);
@@ -281,10 +283,7 @@ impl Advisor {
     /// Spawns the control loop against `engine`, ticking every
     /// [`AdvisorConfig::every`]. Spans land in `tracer` under the
     /// `advise` stage.
-    pub fn start<B>(engine: Arc<B>, tracer: Arc<Tracer>, cfg: AdvisorConfig) -> Advisor
-    where
-        B: ServingBackend + Send + Sync + 'static,
-    {
+    pub fn start(engine: Arc<Engine>, tracer: Arc<Tracer>, cfg: AdvisorConfig) -> Advisor {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let ticks = Arc::new(AtomicU64::new(0));
         let migrations = Arc::new(AtomicU64::new(0));
@@ -313,7 +312,7 @@ impl Advisor {
                                 return;
                             }
                         }
-                        let tick = advise_once(&*engine, &cfg, &mut state, &tracer);
+                        let tick = advise_once(&engine, &cfg, &mut state, &tracer);
                         ticks.fetch_add(1, Ordering::Relaxed);
                         migrations.fetch_add(tick.migrations() as u64, Ordering::Relaxed);
                     }

@@ -16,147 +16,12 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use kaskade_core::{materialize, DdlOp, GraphDelta, KaskadeError, Snapshot};
-use kaskade_query::{Query, Table};
+use kaskade_core::materialize;
+use kaskade_query::Query;
 
 use crate::engine::{Engine, SubmitError, SubmitOpts};
-use crate::metrics::{Metrics, MetricsReport};
-use crate::shard::ShardedEngine;
+use crate::metrics::MetricsReport;
 use crate::stream::{delta_for, Workload};
-
-/// The engine surface [`drive`] needs: per-thread readers, snapshot
-/// access, and the write path. Implemented by the single [`Engine`] and
-/// the [`ShardedEngine`], so the CLI's `serve` mode, the bench
-/// experiments, and the acceptance tests exercise both through one
-/// harness.
-pub trait ServingBackend: Sync {
-    /// A per-thread read handle with a cached, epoch-validated
-    /// snapshot.
-    type Reader: Send;
-
-    /// Creates a read handle (see [`Engine::reader`]).
-    fn serving_reader(&self) -> Self::Reader;
-
-    /// Plans (through the backend's plan cache) and executes `query`
-    /// against the reader's cached snapshot.
-    fn serve_query(&self, reader: &mut Self::Reader, query: &Query) -> Result<Table, KaskadeError>;
-
-    /// Runs `f` over the reader's cached read state without cloning
-    /// it (this accessor sits on a hot loop: per-read consistency
-    /// verification).
-    fn with_reader_state<R>(&self, reader: &mut Self::Reader, f: impl FnOnce(&Snapshot) -> R) -> R;
-
-    /// Runs `f` over the currently published read state — and the
-    /// epoch it was published at — without cloning it (the drive
-    /// writer scripts a delta from it every write step and submits
-    /// with that epoch, so ids survive a concurrent slot compaction).
-    fn with_current_state<R>(&self, f: impl FnOnce(u64, &Snapshot) -> R) -> R;
-
-    /// Queues a delta whose existing-vertex ids were resolved against
-    /// the snapshot published at `based_on` (see
-    /// [`Engine::submit`] with [`SubmitOpts::based_on`]).
-    fn submit_delta(&self, delta: GraphDelta, based_on: u64) -> Result<(), SubmitError>;
-
-    /// Waits until every submitted delta is visible to readers.
-    fn flush_writes(&self) -> u64;
-
-    /// Queues a catalog [`DdlOp`] (create/drop view) to publish as its
-    /// own epoch — WAL-logged, plan cache invalidated (see
-    /// [`Engine::submit_ddl`]). Returns `false` if the backend is
-    /// shutting down.
-    fn submit_ddl(&self, op: DdlOp) -> bool;
-
-    /// The backend's live metrics block. The
-    /// [`Advisor`](crate::advisor::Advisor) reads its workload sensors
-    /// (per-view benefit counters, the miss log) here and records its
-    /// migrations through it.
-    fn sensor_metrics(&self) -> &Metrics;
-
-    /// The backend's aggregate metrics.
-    fn metrics_report(&self) -> MetricsReport;
-}
-
-impl ServingBackend for Engine {
-    type Reader = crate::snapshot::Reader;
-
-    fn serving_reader(&self) -> Self::Reader {
-        self.reader()
-    }
-
-    fn serve_query(&self, reader: &mut Self::Reader, query: &Query) -> Result<Table, KaskadeError> {
-        self.execute_with(reader, query)
-    }
-
-    fn with_reader_state<R>(&self, reader: &mut Self::Reader, f: impl FnOnce(&Snapshot) -> R) -> R {
-        f(&reader.snapshot().state)
-    }
-
-    fn with_current_state<R>(&self, f: impl FnOnce(u64, &Snapshot) -> R) -> R {
-        let snap = self.snapshot();
-        f(snap.epoch, &snap.state)
-    }
-
-    fn submit_delta(&self, delta: GraphDelta, based_on: u64) -> Result<(), SubmitError> {
-        self.submit(delta, SubmitOpts::based_on(based_on))
-    }
-
-    fn flush_writes(&self) -> u64 {
-        self.flush()
-    }
-
-    fn submit_ddl(&self, op: DdlOp) -> bool {
-        self.submit_ddl(op)
-    }
-
-    fn sensor_metrics(&self) -> &Metrics {
-        self.metrics_handle()
-    }
-
-    fn metrics_report(&self) -> MetricsReport {
-        self.metrics()
-    }
-}
-
-impl ServingBackend for ShardedEngine {
-    type Reader = crate::shard::ShardedReader;
-
-    fn serving_reader(&self) -> Self::Reader {
-        self.reader()
-    }
-
-    fn serve_query(&self, reader: &mut Self::Reader, query: &Query) -> Result<Table, KaskadeError> {
-        self.execute_with(reader, query)
-    }
-
-    fn with_reader_state<R>(&self, reader: &mut Self::Reader, f: impl FnOnce(&Snapshot) -> R) -> R {
-        f(&reader.snapshot().state)
-    }
-
-    fn with_current_state<R>(&self, f: impl FnOnce(u64, &Snapshot) -> R) -> R {
-        let snap = self.snapshot();
-        f(snap.epoch, &snap.state)
-    }
-
-    fn submit_delta(&self, delta: GraphDelta, based_on: u64) -> Result<(), SubmitError> {
-        self.submit(delta, SubmitOpts::based_on(based_on))
-    }
-
-    fn flush_writes(&self) -> u64 {
-        self.flush()
-    }
-
-    fn submit_ddl(&self, op: DdlOp) -> bool {
-        self.submit_ddl(op)
-    }
-
-    fn sensor_metrics(&self) -> &Metrics {
-        self.metrics_handle()
-    }
-
-    fn metrics_report(&self) -> MetricsReport {
-        self.metrics().global
-    }
-}
 
 /// Workload shape for [`drive`].
 #[derive(Debug, Clone)]
@@ -278,14 +143,26 @@ pub fn snapshot_is_consistent(state: &kaskade_core::Snapshot) -> bool {
     })
 }
 
-/// Runs the workload against `engine` — a single [`Engine`] or a
-/// [`ShardedEngine`] — and gathers the outcome. Reader threads cycle
-/// through `queries` (offset by thread index so threads diverge); the
-/// writer derives deltas of the configured [`Workload`] shape from the
-/// latest snapshot via [`delta_for`]. Returns after `cfg.duration`
-/// plus a final flush and a full consistency check of the final
-/// snapshot.
-pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig) -> DriveOutcome {
+/// Runs the workload against `engine` and gathers the outcome. Reader
+/// threads cycle through `queries` (offset by thread index so threads
+/// diverge); the writer derives deltas of the configured [`Workload`]
+/// shape from the latest snapshot via [`delta_for`]. Returns after
+/// `cfg.duration` plus a final flush and a full consistency check of
+/// the final snapshot.
+pub fn drive(engine: &Engine, queries: &[Query], cfg: &DriveConfig) -> DriveOutcome {
+    drive_until(engine, queries, cfg, &|| true)
+}
+
+/// [`drive`], but the run ends only once `cfg.duration` has elapsed
+/// **and** `done()` holds (polled every few milliseconds) — so a run
+/// can end on progress it is waiting for (e.g. an advisor migration)
+/// instead of on a fixed wall clock.
+pub fn drive_until(
+    engine: &Engine,
+    queries: &[Query],
+    cfg: &DriveConfig,
+    done: &dyn Fn() -> bool,
+) -> DriveOutcome {
     assert!(!queries.is_empty(), "drive needs at least one query");
     let stop = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
@@ -298,13 +175,13 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
     std::thread::scope(|scope| {
         for reader_idx in 0..cfg.readers.max(1) {
             let (stop, reads, read_errors, violations) = (&stop, &reads, &read_errors, &violations);
-            let mut reader = engine.serving_reader();
+            let mut reader = engine.reader();
             scope.spawn(move || {
                 let mut i = reader_idx;
                 while !stop.load(Ordering::Relaxed) {
                     let query = &queries[i % queries.len()];
                     i += 1;
-                    match engine.serve_query(&mut reader, query) {
+                    match engine.execute_with(&mut reader, query) {
                         Ok(_) => {
                             reads.fetch_add(1, Ordering::Relaxed);
                         }
@@ -312,9 +189,7 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
                             read_errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    if cfg.verify_consistency
-                        && !engine.with_reader_state(&mut reader, snapshot_is_consistent)
-                    {
+                    if cfg.verify_consistency && !snapshot_is_consistent(&reader.snapshot().state) {
                         violations.fetch_add(1, Ordering::Relaxed);
                     }
                     if !cfg.read_pause.is_zero() {
@@ -335,11 +210,10 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
                     // delta's ids are in THAT epoch's id space, and a
                     // slot compaction may publish before the submit
                     // lands
-                    let scripted = engine.with_current_state(|epoch, state| {
-                        delta_for(cfg.workload, state, step).map(|d| (d, epoch))
-                    });
-                    match scripted {
-                        Some((delta, epoch)) => match engine.submit_delta(delta, epoch) {
+                    let snap = engine.snapshot();
+                    match delta_for(cfg.workload, &snap.state, step) {
+                        Some(delta) => match engine.submit(delta, SubmitOpts::based_on(snap.epoch))
+                        {
                             Ok(()) => {
                                 writes.fetch_add(1, Ordering::Relaxed);
                             }
@@ -360,6 +234,9 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
             });
         }
         std::thread::sleep(cfg.duration);
+        while !done() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         stop.store(true, Ordering::Relaxed);
     });
 
@@ -367,8 +244,8 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
     // flush and the O(views × materialization) consistency oracle below
     // must not deflate reads_per_sec
     let elapsed = start.elapsed();
-    engine.flush_writes();
-    let final_consistent = engine.with_current_state(|_, state| snapshot_is_consistent(state));
+    engine.flush();
+    let final_consistent = snapshot_is_consistent(&engine.snapshot().state);
     DriveOutcome {
         reads: reads.load(Ordering::Relaxed),
         read_errors: read_errors.load(Ordering::Relaxed),
@@ -377,7 +254,7 @@ pub fn drive<B: ServingBackend>(engine: &B, queries: &[Query], cfg: &DriveConfig
         writes_backpressured: backpressured.load(Ordering::Relaxed),
         final_consistent,
         elapsed,
-        report: engine.metrics_report(),
+        report: engine.metrics(),
     }
 }
 

@@ -5,16 +5,25 @@
 //!            submit(delta)                 publish(epoch+1)
 //!  clients ───────────────► queue ─► writer worker ─► SnapshotCell
 //!                                   (merge batch,         │ load
-//!                                    with_delta,          ▼
-//!                                    refresh views)   Arc<EpochSnapshot>
+//!                                    apply (partitioned   ▼
+//!                                    on the pool),    Arc<EpochSnapshot>
+//!                                    refresh views)       │
 //!  readers ◄──────────────────────────────────────────────┘
 //!           execute(): plan-cache lookup → plan_target → pattern match
-//!                      → relational stage
+//!                      (scattered over partitions) → relational stage
 //! ```
 //!
 //! Readers never block writers and writers never block readers: queries
 //! run against an immutable `Arc<EpochSnapshot>`, and the writer builds
 //! the successor state off to the side before atomically publishing it.
+//!
+//! There is one write pipeline and one read path for every topology.
+//! With one partition (the default) the writer applies each batch with
+//! [`Snapshot::with_delta_report`]. With [`EngineConfig::partitioner`]
+//! over N > 1 shards, the same writer applies each batch across the
+//! shard partitions on the worker pool and assembles the global state
+//! from them (see [`crate::shard`]); reads then scatter pattern
+//! matching across the partitions.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +37,10 @@ use kaskade_core::{
 use kaskade_graph::{ExternalIdTable, IdRemap, VertexId};
 use kaskade_query::{execute_with_pattern, PatternPlan, Query, Table};
 
-use crate::metrics::{Metrics, MetricsReport};
+use crate::metrics::{LatencyHistogram, Metrics, MetricsReport};
 use crate::plan_cache::{plan_key, PlanCache};
 use crate::pool::WorkerPool;
+use crate::shard::{scatter_gather, HashPartitioner, Partitioner, Partitions};
 use crate::snapshot::{EpochSnapshot, Reader, SnapshotCell};
 use crate::trace::{Stage, Tracer};
 use crate::wal::{Wal, WalConfig};
@@ -53,39 +63,41 @@ pub struct EngineConfig {
     /// publish: dead slots are dropped, live ids renumber densely, and
     /// the compacted state publishes as a fresh epoch — the fence
     /// behind which queued deltas built against older epochs are
-    /// rebased through the recorded [`IdRemap`]s. Default `0.5`, which
-    /// bounds total slot capacity at ~2× the live element count under
-    /// any churn; `f64::INFINITY` disables compaction (the shards of a
-    /// [`crate::ShardedEngine`] run disabled and compact only on their
-    /// coordinator's command, so shard ids stay globally aligned).
+    /// rebased through the recorded [`IdRemap`]s. Every shard partition
+    /// applies the same remap, so shard ids stay equal to global ids.
+    /// Default `0.5`, which bounds total slot capacity at ~2× the live
+    /// element count under any churn; `f64::INFINITY` disables
+    /// compaction.
     pub compact_dead_ratio: f64,
     /// The tracing subsystem (spans + flight recorder + slow-query
     /// log) this engine reports into. `None` creates a private disabled
     /// tracer — instrumented sites then cost one relaxed atomic load.
-    /// A [`crate::ShardedEngine`] passes its coordinator tracer to
-    /// every shard so one flight recorder sees the whole pipeline.
     pub tracer: Option<Arc<Tracer>>,
-    /// Label prefixed to this engine's span details (e.g. `shard3`),
-    /// so flight-recorder dumps attribute write-path spans to the
-    /// engine that emitted them. Empty for a standalone engine.
-    pub trace_label: String,
-    /// The persistent worker pool this engine's write path runs its
-    /// parallel view refresh on. `None` creates a private pool with
-    /// [`EngineConfig::pool_threads`] workers. A
-    /// [`crate::ShardedEngine`] passes one shared pool to every shard
-    /// so the whole runtime parks the same fixed thread set.
-    pub pool: Option<Arc<WorkerPool>>,
-    /// Worker-thread count for the private pool created when
-    /// [`EngineConfig::pool`] is `None`; `0` sizes it to the machine
-    /// (available parallelism minus the helping caller).
+    /// Worker threads of the engine's persistent [`WorkerPool`] (view
+    /// refresh, shard applies, merged publish and query scatter all run
+    /// on it — steady-state serving never spawns a thread). `0` sizes
+    /// the pool to the machine: available parallelism minus the
+    /// helping caller.
     pub pool_threads: usize,
     /// Durability: when set, the writer appends one epoch-tagged WAL
     /// record per merged batch **before** publishing it and
     /// checkpoints the full state every
     /// [`WalConfig::checkpoint_every`] batches. [`Engine::recover`]
-    /// restores the latest checkpoint + log on restart. `None` (the
-    /// default) serves purely in memory.
+    /// restores the latest checkpoint + log on restart (and
+    /// re-partitions it). `None` (the default) serves purely in memory.
     pub wal: Option<WalConfig>,
+    /// The vertex-ownership function, and with it the partition count.
+    /// One partition (the default) serves the whole graph from one
+    /// state; N > 1 splits every batch across N shard partitions and
+    /// scatters pattern matching over them.
+    pub partitioner: Arc<dyn Partitioner>,
+    /// Minimum vertex count of a query's target graph before pattern
+    /// matching scatters across the partitions. Below it the pattern
+    /// executes inline on the calling thread (identical result — an
+    /// unrestricted anchor scan over the same global graph), because
+    /// the pool dispatch would otherwise dominate trivial matches. Set
+    /// 0 to always scatter. Ignored with one partition.
+    pub scatter_min_vertices: usize,
 }
 
 impl Default for EngineConfig {
@@ -95,15 +107,25 @@ impl Default for EngineConfig {
             queue_capacity: 1024,
             compact_dead_ratio: 0.5,
             tracer: None,
-            trace_label: String::new(),
-            pool: None,
             pool_threads: 0,
             wal: None,
+            partitioner: Arc::new(HashPartitioner::new(1)),
+            scatter_min_vertices: 512,
         }
     }
 }
 
-/// Per-submit options of [`Engine::submit`] / `ShardedEngine::submit`.
+impl EngineConfig {
+    /// Default tuning with hash partitioning over `shards` partitions.
+    pub fn hash(shards: usize) -> Self {
+        EngineConfig {
+            partitioner: Arc::new(HashPartitioner::new(shards)),
+            ..EngineConfig::default()
+        }
+    }
+}
+
+/// Per-submit options of [`Engine::submit`].
 ///
 /// The default (`SubmitOpts::default()`) means "my delta's ids are in
 /// the id space of the currently published snapshot" — the common case
@@ -133,12 +155,12 @@ impl SubmitOpts {
 /// Compaction never fires below this many dead slots, whatever the
 /// ratio: renumbering a toy graph to reclaim a handful of slots would
 /// churn client-visible ids for no measurable memory win.
-pub(crate) const COMPACT_MIN_DEAD_SLOTS: usize = 8;
+const COMPACT_MIN_DEAD_SLOTS: usize = 8;
 
 /// The compaction policy: total dead slots (vertex + edge) at or above
 /// `dead_ratio` of total slot capacity, with the absolute
 /// [`COMPACT_MIN_DEAD_SLOTS`] floor.
-pub(crate) fn should_compact(g: &kaskade_graph::Graph, dead_ratio: f64) -> bool {
+fn should_compact(g: &kaskade_graph::Graph, dead_ratio: f64) -> bool {
     let dead = (g.vertex_slots() - g.vertex_count()) + (g.edge_slots() - g.edge_count());
     let total = g.vertex_slots() + g.edge_slots();
     dead >= COMPACT_MIN_DEAD_SLOTS && dead as f64 >= dead_ratio * total as f64
@@ -146,18 +168,18 @@ pub(crate) fn should_compact(g: &kaskade_graph::Graph, dead_ratio: f64) -> bool 
 
 /// Total id-slot capacity of a graph (live + dead, vertices + edges) —
 /// what compaction shrinks and the `slots_reclaimed` metric measures.
-pub(crate) fn slot_capacity(g: &kaskade_graph::Graph) -> usize {
+fn slot_capacity(g: &kaskade_graph::Graph) -> usize {
     g.vertex_slots() + g.edge_slots()
 }
 
-/// The remaps of recent compactions, kept by a writer loop so deltas
+/// The remaps of recent compactions, kept by the writer loop so deltas
 /// that were queued (or built) against pre-compaction epochs can be
 /// rebased into the current id space at apply time. Bounded: after
 /// [`MAX_REMAP_HISTORY`] further compactions a stale delta can no
 /// longer be rebased and is rejected instead of silently aliasing
 /// reused ids — in practice a delta would have to sit in the bounded
 /// queue across eight compaction cycles to hit this.
-pub(crate) struct RemapHistory {
+struct RemapHistory {
     /// `(publish epoch of the compacted snapshot, remap)`, oldest first.
     entries: Vec<(u64, Arc<IdRemap>)>,
     /// Epoch of the newest discarded entry; deltas based on anything
@@ -169,13 +191,13 @@ pub(crate) struct RemapHistory {
     dropped: u64,
 }
 
-pub(crate) const MAX_REMAP_HISTORY: usize = 8;
+const MAX_REMAP_HISTORY: usize = 8;
 
 impl RemapHistory {
     /// An empty history for an engine whose first published epoch is
     /// `start_epoch`; slot-addressed deltas based on anything older
     /// are unrebasable and rejected.
-    pub(crate) fn starting_at(start_epoch: u64) -> Self {
+    fn starting_at(start_epoch: u64) -> Self {
         RemapHistory {
             entries: Vec::new(),
             dropped: start_epoch,
@@ -183,7 +205,7 @@ impl RemapHistory {
     }
 
     /// Records the remap of a compaction published at `epoch`.
-    pub(crate) fn record(&mut self, epoch: u64, remap: Arc<IdRemap>) {
+    fn record(&mut self, epoch: u64, remap: Arc<IdRemap>) {
         self.entries.push((epoch, remap));
         if self.entries.len() > MAX_REMAP_HISTORY {
             let (e, _) = self.entries.remove(0);
@@ -199,7 +221,7 @@ impl RemapHistory {
     /// can go stale: a delta whose references are all external ids or
     /// batch-local indices has nothing a renumbering could alias, so
     /// it is accepted untouched whatever its `based_on`.
-    pub(crate) fn rebase(&self, delta: &mut GraphDelta, based_on: u64) -> Result<(), ()> {
+    fn rebase(&self, delta: &mut GraphDelta, based_on: u64) -> Result<(), ()> {
         if based_on < self.dropped {
             return if delta.has_slot_refs() {
                 Err(())
@@ -217,102 +239,54 @@ impl RemapHistory {
 
     /// The oldest `based_on` epoch slot-addressed deltas can still be
     /// rebased from (the submit-side staleness watermark).
-    pub(crate) fn oldest_supported(&self) -> u64 {
+    fn oldest_supported(&self) -> u64 {
         self.dropped
     }
 }
 
 /// A write-path message: a queued delta (with its enqueue time, for
 /// refresh-lag accounting, and the epoch its ids were resolved
-/// against), a coordinator-ordered compaction, or a flush
-/// acknowledgement request. Shared by the single engine's writer
-/// worker and the sharded router.
-pub(crate) enum Msg {
+/// against), a catalog mutation, or a flush acknowledgement request.
+enum Msg {
     Delta(Box<GraphDelta>, Instant, u64),
-    /// Apply this vertex remap (computed by a sharded coordinator from
-    /// the global graph) to the local state and publish. Acts as a
-    /// batch boundary: deltas queued before it are in the old id
-    /// space and apply first.
-    Compact(Arc<IdRemap>),
     /// Apply a catalog mutation (create/drop a materialized view) and
-    /// publish it as its own epoch. A batch boundary like `Compact`:
-    /// deltas queued before it refresh against the old catalog first,
-    /// so "submit delta, then DDL" observes sequential semantics.
+    /// publish it as its own epoch. A batch boundary: deltas queued
+    /// before it refresh against the old catalog first, so "submit
+    /// delta, then DDL" observes sequential semantics.
     Ddl(DdlOp),
     Flush(mpsc::Sender<u64>),
 }
 
-/// Enqueues a delta on a bounded write queue with the engine's submit
-/// contract: self-referential validation up front, a conservative
-/// queued counter, and typed `Backpressure`/`Closed` errors with
-/// nothing enqueued on failure. `based_on` is the epoch of the
-/// snapshot the delta's existing-vertex ids were resolved against —
-/// the writer rebases the delta through any compactions published
-/// since. Shared by [`Engine::submit`] and the sharded engine's
-/// submit.
-pub(crate) fn enqueue_delta(
-    tx: &mpsc::SyncSender<Msg>,
-    queued: &AtomicU64,
-    metrics: &Metrics,
-    delta: GraphDelta,
-    based_on: u64,
-) -> Result<(), SubmitError> {
-    // usize::MAX vertex bound: only the New-index checks can fail
-    delta.validate(usize::MAX).map_err(SubmitError::Invalid)?;
-    // increment BEFORE sending so the counter stays conservative:
-    // the worker may consume and decrement the instant send lands
-    queued.fetch_add(1, Ordering::Relaxed);
-    match tx.try_send(Msg::Delta(Box::new(delta), Instant::now(), based_on)) {
-        Ok(()) => Ok(()),
-        Err(mpsc::TrySendError::Full(_)) => {
-            queued.fetch_sub(1, Ordering::Relaxed);
-            metrics.record_backpressure();
-            Err(SubmitError::Backpressure)
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            queued.fetch_sub(1, Ordering::Relaxed);
-            Err(SubmitError::Closed)
-        }
-    }
-}
-
 /// One assembled write batch (see [`collect_batch`]).
-pub(crate) struct Batch {
+struct Batch {
     /// The merged batch delta (empty when `batched == 0`).
-    pub delta: GraphDelta,
+    delta: GraphDelta,
     /// Deltas merged into `delta`.
-    pub batched: usize,
+    batched: usize,
     /// Deltas dropped as invalid at apply time.
-    pub rejected: usize,
+    rejected: usize,
     /// Of the rejected, how many were dropped as **stale** — slot
     /// references based on an epoch older than the retained remap
     /// history (counted separately in `deltas_stale_rejected`).
-    pub stale: usize,
+    stale: usize,
     /// Enqueue time of the oldest delta in the batch.
-    pub oldest: Option<Instant>,
+    oldest: Option<Instant>,
     /// Flush acknowledgements collected while assembling.
-    pub acks: Vec<mpsc::Sender<u64>>,
-    /// A coordinator-ordered compaction encountered while draining.
-    /// It bounds the batch: deltas queued before it (this batch) are
-    /// in the pre-compaction id space and must apply first; the
-    /// caller applies the remap after publishing the batch.
-    pub compact: Option<Arc<IdRemap>>,
-    /// A catalog mutation encountered while draining. Also a batch
+    acks: Vec<mpsc::Sender<u64>>,
+    /// A catalog mutation encountered while draining. A batch
     /// boundary: deltas queued before it (this batch) refresh against
     /// the pre-DDL catalog, then the caller applies the DDL and
     /// publishes it as its own epoch.
-    pub ddl: Option<DdlOp>,
+    ddl: Option<DdlOp>,
     /// Whether the queue is still open (false = shutdown signalled).
-    pub open: bool,
+    open: bool,
 }
 
 /// Blocks for the next message, then drains the queue into one merged
 /// batch of up to `max_batch` deltas, validating each against `graph`
 /// (the worker's current state) plus the batch's own pending effects.
-/// This is THE accept/reject decision point of the write path — the
-/// single engine's writer loop and the sharded router both use it, so
-/// a delta is dropped by one iff it is dropped by the other.
-pub(crate) fn collect_batch(
+/// This is THE accept/reject decision point of the write path.
+fn collect_batch(
     rx: &mpsc::Receiver<Msg>,
     graph: &kaskade_graph::Graph,
     max_batch: usize,
@@ -326,7 +300,6 @@ pub(crate) fn collect_batch(
         stale: 0,
         oldest: None,
         acks: Vec::new(),
-        compact: None,
         ddl: None,
         open: true,
     };
@@ -384,15 +357,9 @@ pub(crate) fn collect_batch(
                     batch.rejected += 1;
                 }
             }
-            Some(Msg::Compact(remap)) => {
-                // batch boundary: everything drained so far predates
-                // the compaction; later messages wait for next loop
-                batch.compact = Some(remap);
-                break;
-            }
             Some(Msg::Ddl(op)) => {
-                // batch boundary, same as Compact: deltas drained so
-                // far refresh against the pre-DDL catalog first
+                // batch boundary: deltas drained so far refresh
+                // against the pre-DDL catalog first
                 batch.ddl = Some(op);
                 break;
             }
@@ -457,14 +424,19 @@ impl std::error::Error for SubmitError {}
 /// State shared between the engine handle, its readers, and the writer
 /// worker.
 #[derive(Debug)]
-struct Shared {
-    cell: Arc<SnapshotCell>,
+pub(crate) struct Shared {
+    pub(crate) cell: Arc<SnapshotCell>,
     cache: PlanCache,
     metrics: Metrics,
+    /// Shard-local apply latency, one histogram per partition (empty
+    /// with one partition): one sample per batch that changed the
+    /// shard.
+    pub(crate) shard_apply: Vec<LatencyHistogram>,
     queued: AtomicU64,
-    tracer: Arc<Tracer>,
-    trace_label: String,
-    pool: Arc<WorkerPool>,
+    pub(crate) tracer: Arc<Tracer>,
+    pub(crate) pool: Arc<WorkerPool>,
+    pub(crate) partitioner: Arc<dyn Partitioner>,
+    scatter_min_vertices: usize,
     /// The writer's staleness watermark (mirror of
     /// [`RemapHistory::oldest_supported`]): slot-addressed submissions
     /// based on anything older fail fast with
@@ -519,10 +491,14 @@ impl Engine {
 
     /// Recovers the engine from the WAL directory in
     /// [`EngineConfig::wal`] (required): loads the latest valid
-    /// checkpoint, replays every intact log record after it, and
-    /// resumes serving — and logging — at the recovered epoch.
-    /// `Ok(None)` means the directory holds nothing recoverable; the
-    /// caller starts fresh with [`Engine::try_with_config`].
+    /// checkpoint, replays every intact log record after it,
+    /// partitions the recovered state afresh, and resumes serving — and
+    /// logging — at the recovered epoch. The recovered global state is
+    /// partition-independent (the differential proptests hold
+    /// partitioned and unpartitioned engines byte-identical), so a
+    /// fresh ownership assignment is always consistent. `Ok(None)`
+    /// means the directory holds nothing recoverable; the caller starts
+    /// fresh with [`Engine::try_with_config`].
     ///
     /// Pre-restart compactions are folded into the recovered state and
     /// their remaps are gone, so after recovery a **slot-addressed**
@@ -542,14 +518,15 @@ impl Engine {
         }
     }
 
-    /// The one constructor behind fresh starts and recovery: publishes
-    /// `state` at `epoch`, seats the external-id table in the writer,
-    /// and (when configured) opens the WAL with a fresh checkpoint of
-    /// exactly this state — so the on-disk frontier always equals the
-    /// first published snapshot. `recovered` marks the post-recovery
-    /// reopen, which may legitimately collapse the WAL directory's
-    /// existing state into the new checkpoint; a fresh start refuses
-    /// that (see [`Engine::try_with_config`]).
+    /// The one constructor behind fresh starts and recovery: partitions
+    /// `state` (when configured), publishes it at `epoch`, seats the
+    /// external-id table in the writer, and (when configured) opens the
+    /// WAL with a fresh checkpoint of exactly this state — so the
+    /// on-disk frontier always equals the first published snapshot.
+    /// `recovered` marks the post-recovery reopen, which may
+    /// legitimately collapse the WAL directory's existing state into
+    /// the new checkpoint; a fresh start refuses that (see
+    /// [`Engine::try_with_config`]).
     fn start(
         state: Snapshot,
         epoch: u64,
@@ -567,19 +544,31 @@ impl Engine {
             Some(cfg) => Some(Wal::open(cfg.clone(), &state, epoch, &extids)?),
             None => None,
         };
-        let pool = config.pool.unwrap_or_else(|| match config.pool_threads {
+        let pool = match config.pool_threads {
             0 => WorkerPool::with_default_threads(),
             t => WorkerPool::new(t),
-        });
+        };
+        let parts = Partitions::new(&config.partitioner, &state, epoch);
+        let shard_states = Partitions::states(&parts);
         let extids = Arc::new(extids);
         let shared = Arc::new(Shared {
-            cell: Arc::new(SnapshotCell::with_epoch(state, epoch, Arc::clone(&extids))),
+            shard_apply: shard_states
+                .iter()
+                .map(|_| LatencyHistogram::default())
+                .collect(),
+            cell: Arc::new(SnapshotCell::with_snapshot(EpochSnapshot {
+                epoch,
+                state,
+                extids: Arc::clone(&extids),
+                shard_states,
+            })),
             cache: PlanCache::new(),
             metrics: Metrics::new(),
             queued: AtomicU64::new(0),
             tracer: config.tracer.unwrap_or_default(),
-            trace_label: config.trace_label,
             pool,
+            partitioner: config.partitioner,
+            scatter_min_vertices: config.scatter_min_vertices,
             // the watermark starts at the first published epoch: after
             // recovery, pre-restart compactions are already folded in
             // and their remaps are gone, so slot-addressed submissions
@@ -600,6 +589,7 @@ impl Engine {
                     compact_dead_ratio,
                     wal,
                     extids,
+                    parts,
                 )
             })
             .expect("spawn writer worker");
@@ -618,6 +608,12 @@ impl Engine {
     /// The epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
         self.shared.cell.epoch()
+    }
+
+    /// Number of partitions the base graph is split across (1 =
+    /// unpartitioned).
+    pub fn shard_count(&self) -> usize {
+        self.shared.partitioner.shard_count()
     }
 
     /// A per-thread read handle with an epoch-validated snapshot cache
@@ -647,31 +643,36 @@ impl Engine {
     /// [`SubmitOpts::based_on`] with that snapshot's epoch, so a slot
     /// compaction publishing in between cannot misdirect the ids.
     pub fn submit(&self, delta: GraphDelta, opts: SubmitOpts) -> Result<(), SubmitError> {
-        let based_on = opts.based_on.unwrap_or_else(|| self.shared.cell.epoch());
-        let oldest = self.shared.oldest_supported.load(Ordering::Relaxed);
+        let shared = &self.shared;
+        let based_on = opts.based_on.unwrap_or_else(|| shared.cell.epoch());
+        let oldest = shared.oldest_supported.load(Ordering::Relaxed);
         if based_on < oldest && delta.has_slot_refs() {
-            self.shared.metrics.record_stale(1);
+            shared.metrics.record_stale(1);
             return Err(SubmitError::StaleEpoch {
                 oldest_supported: oldest,
             });
         }
-        enqueue_delta(
-            &self.tx,
-            &self.shared.queued,
-            &self.shared.metrics,
-            delta,
-            based_on,
-        )
-    }
-
-    /// Orders the writer to apply an externally computed compaction
-    /// remap (the sharded coordinator's path; see
-    /// [`kaskade_core::Snapshot::compact_with`]). Returns `false` when
-    /// the engine is shutting down. Blocks while the queue is full —
-    /// callers (the router) flush every batch, so the queue is
-    /// near-empty in practice.
-    pub(crate) fn submit_compact(&self, remap: Arc<IdRemap>) -> bool {
-        self.tx.send(Msg::Compact(remap)).is_ok()
+        // usize::MAX vertex bound: only the New-index checks can fail
+        delta.validate(usize::MAX).map_err(SubmitError::Invalid)?;
+        // increment BEFORE sending so the counter stays conservative:
+        // the worker may consume and decrement the instant send lands
+        shared.queued.fetch_add(1, Ordering::Relaxed);
+        let sent = self
+            .tx
+            .try_send(Msg::Delta(Box::new(delta), Instant::now(), based_on));
+        match sent {
+            Ok(()) => Ok(()),
+            Err(e) => {
+                shared.queued.fetch_sub(1, Ordering::Relaxed);
+                match e {
+                    mpsc::TrySendError::Full(_) => {
+                        shared.metrics.record_backpressure();
+                        Err(SubmitError::Backpressure)
+                    }
+                    mpsc::TrySendError::Disconnected(_) => Err(SubmitError::Closed),
+                }
+            }
+        }
     }
 
     /// Queues a live catalog mutation — create or drop a materialized
@@ -679,10 +680,12 @@ impl Engine {
     /// deltas (everything submitted before it applies first), publishes
     /// as its own epoch with the refresh DAG rebuilt, logs a `KIND_DDL`
     /// WAL record when durability is on, and invalidates the plan
-    /// cache: no plan carries forward across a catalog change. Returns
-    /// `false` when the engine is shutting down. Blocks while the queue
-    /// is full rather than failing — DDL is rare and must not be shed
-    /// under write load.
+    /// cache: no plan carries forward across a catalog change. Views
+    /// are materialized over the global graph (shard partitions hold no
+    /// catalog), so a DDL epoch republishes the shard states unchanged.
+    /// Returns `false` when the engine is shutting down. Blocks while
+    /// the queue is full rather than failing — DDL is rare and must not
+    /// be shed under write load.
     pub fn submit_ddl(&self, op: DdlOp) -> bool {
         self.tx.send(Msg::Ddl(op)).is_ok()
     }
@@ -721,13 +724,41 @@ impl Engine {
 
     /// A point-in-time metrics report (counters, latency quantiles,
     /// refresh lag, plan-cache hit rate, current epoch) — built by the
-    /// one stitching constructor, [`Metrics::report_with`].
+    /// one stitching constructor, [`Metrics::report_with`]. Its
+    /// `apply_*` fields are the end-to-end batch apply+publish on every
+    /// topology, one sample per published batch.
     pub fn metrics(&self) -> MetricsReport {
         self.shared.metrics.report_with(
             self.shared.cell.epoch(),
             &self.shared.cache,
             self.queue_depth() as usize,
         )
+    }
+
+    /// One report per partition: the partition's shard-local apply
+    /// distribution and the epoch that last changed it (every other
+    /// counter is engine-wide and lives in [`Engine::metrics`]). With
+    /// one partition, that partition's apply is the whole batch apply.
+    pub fn shard_reports(&self) -> Vec<MetricsReport> {
+        let snap = self.snapshot();
+        if snap.shard_states.is_empty() {
+            return vec![MetricsReport::for_partition(
+                self.shared.metrics.apply_latency(),
+                snap.epoch,
+            )];
+        }
+        self.shared
+            .shard_apply
+            .iter()
+            .zip(&snap.shard_states)
+            .map(|(hist, shard)| MetricsReport::for_partition(hist, shard.epoch))
+            .collect()
+    }
+
+    /// The shard-local apply histograms, one per partition (empty with
+    /// one partition).
+    pub(crate) fn shard_apply_latency(&self) -> &[LatencyHistogram] {
+        &self.shared.shard_apply
     }
 
     /// The engine's tracing subsystem (flight recorder + slow-query
@@ -737,14 +768,16 @@ impl Engine {
         &self.shared.tracer
     }
 
-    /// The persistent worker pool this engine's write path runs on
-    /// (shared across all shards under a [`crate::ShardedEngine`]).
+    /// The persistent worker pool the write path, the partition applies
+    /// and the query scatter run on. Its [`WorkerPool::dispatches`]
+    /// counter is the "steady-state serving runs on the pool"
+    /// observability hook.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.shared.pool
     }
 
     /// The live metrics block (for exposition endpoints that need raw
-    /// histograms, not just the derived report).
+    /// histograms, and for the advisor's workload sensors).
     pub fn metrics_handle(&self) -> &Metrics {
         &self.shared.metrics
     }
@@ -763,22 +796,26 @@ impl Drop for Engine {
 }
 
 /// Plans `query` via the shared per-epoch cache and executes it against
-/// `snap`. The whole call touches no lock except the cache probe.
+/// `snap`. The whole call touches no lock except the cache probe. With
+/// more than one partition, pattern matching on a target graph of at
+/// least `scatter_min_vertices` vertices scatters across the partitions
+/// on the worker pool ([`scatter_gather`]).
 ///
 /// Read-path instrumentation: a `query` root span with
 /// `plan_cache_lookup` / `plan` / `relational` children (the last with
-/// a `pattern_match` child), and a slow-query log entry (normalized AST
-/// with plan, pattern and relational timings) when the total crosses
-/// the tracer's threshold. With tracing off and no threshold
-/// set, the added cost is two relaxed atomic loads.
+/// a `pattern_match` child, which parents the scatter legs), and a
+/// slow-query log entry (normalized AST with plan, pattern and
+/// relational timings) when the total crosses the tracer's threshold.
+/// With tracing off and no threshold set, the added cost is two relaxed
+/// atomic loads.
 fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Table, KaskadeError> {
     let tracer = &shared.tracer;
     // `id(v) = <ext>` point lookups: resolve through the snapshot's
-    // external-id table into a pinned single-slot anchor scan. The pin
-    // is already the cheapest plan, so this path skips the view
-    // rewriter and the plan cache (per-ext entries would only pollute
-    // the per-epoch memo) — and it never feeds the advisor's miss log,
-    // which would otherwise chase shapes no view can improve.
+    // external-id table into a pinned single-slot anchor scan, inline on
+    // the global state. The pin is already the cheapest plan, so this
+    // path skips the view rewriter, the plan cache and the scatter —
+    // and it never feeds the advisor's miss log, which would otherwise
+    // chase shapes no view can improve.
     if let Some((stripped, anchors)) = query.split_extid_anchors() {
         let start = Instant::now();
         let mut root = tracer.span(Stage::Query);
@@ -807,7 +844,7 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
     let mut root = tracer.span(Stage::Query);
     root.set_epoch(snap.epoch);
     let key = plan_key(query);
-    let mut plan_time = std::time::Duration::ZERO;
+    let mut plan_time = Duration::ZERO;
     let planned = {
         let mut lookup = root.child(Stage::PlanCacheLookup);
         match shared.cache.get(snap.epoch, &key) {
@@ -839,13 +876,20 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
             return Err(e);
         }
     };
+    let scatter = shared.partitioner.shard_count() > 1
+        && target.vertex_count() >= shared.scatter_min_vertices;
     let rel = root.child(Stage::Relational);
     let exec_start = timing.then(Instant::now);
     let pattern_time = Cell::new(Duration::ZERO);
     let result = execute_with_pattern(target, &planned.query, &|pattern| {
-        let _span = rel.child(Stage::PatternMatch);
+        let span = rel.child(Stage::PatternMatch);
         let t0 = timing.then(Instant::now);
-        let rows = PatternPlan::new(target, pattern)?.execute(target);
+        let plan = PatternPlan::new(target, pattern)?;
+        let rows = if scatter {
+            scatter_gather(shared, snap.epoch, target, &plan, span.id())
+        } else {
+            plan.execute(target)
+        };
         if let Some(t0) = t0 {
             pattern_time.set(pattern_time.get() + t0.elapsed());
         }
@@ -893,24 +937,16 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
     }
 }
 
-/// `"label detail"` (or just `"detail"` for an unlabeled engine) — the
-/// span-detail convention that attributes write-path spans to a shard.
-fn trace_detail(label: &str, detail: std::fmt::Arguments<'_>) -> String {
-    if label.is_empty() {
-        detail.to_string()
-    } else {
-        format!("{label} {detail}")
-    }
-}
-
 /// The single-writer worker: blocks on the queue, merges up to
 /// `max_batch` queued deltas into one [`GraphDelta`], applies it with
-/// incremental view maintenance, and publishes the successor snapshot.
-/// After each publish it checks the slot-compaction policy
+/// incremental view maintenance — across the shard partitions when
+/// `parts` is set — and publishes the successor snapshot. After each
+/// publish it checks the slot-compaction policy
 /// ([`EngineConfig::compact_dead_ratio`]): when the dead-slot share
-/// crosses the threshold, the state compacts and publishes as its own
-/// epoch — the fence — and the remap is recorded so queued deltas
-/// built against older epochs rebase on arrival.
+/// crosses the threshold, the state (and every partition, through the
+/// same remap) compacts and publishes as its own epoch — the fence —
+/// and the remap is recorded so queued deltas built against older
+/// epochs rebase on arrival.
 fn writer_loop(
     shared: Arc<Shared>,
     rx: mpsc::Receiver<Msg>,
@@ -918,6 +954,7 @@ fn writer_loop(
     compact_dead_ratio: f64,
     mut wal: Option<Wal>,
     mut extids: Arc<ExternalIdTable>,
+    mut parts: Option<Partitions>,
 ) {
     // the worker's working state always equals the published snapshot
     let mut state = shared.cell.load().state.clone();
@@ -940,10 +977,7 @@ fn writer_loop(
             let retractions = batch.delta.del_edges.len() + batch.delta.del_vertices.len();
             let mut batch_span = tracer.span(Stage::WriteBatch);
             if tracer.is_enabled() {
-                batch_span.set_detail(trace_detail(
-                    &shared.trace_label,
-                    format_args!("batched={}", batch.batched),
-                ));
+                batch_span.set_detail(format!("batched={}", batch.batched));
                 // how long the oldest delta sat queued before this
                 // batch started — recorded retroactively, since the
                 // enqueue side must stay span-free
@@ -954,7 +988,7 @@ fn writer_loop(
                         oldest,
                         oldest.elapsed(),
                         shared.cell.epoch(),
-                        shared.trace_label.clone(),
+                        String::new(),
                     );
                 }
             }
@@ -962,21 +996,24 @@ fn writer_loop(
             let apply_span = batch_span.child(Stage::Apply);
             let apply_id = apply_span.id();
             let base_slots = state.graph().vertex_slots();
-            let (next, report) = state.with_delta_report(
-                &batch.delta,
-                &RefreshOptions {
-                    exec: Some(&*shared.pool),
-                    ..RefreshOptions::default()
-                },
-            );
+            let (next, report) = match parts.as_mut() {
+                None => state.with_delta_report(
+                    &batch.delta,
+                    &RefreshOptions {
+                        exec: Some(&*shared.pool),
+                        ..RefreshOptions::default()
+                    },
+                ),
+                Some(p) => p.apply(&shared, &state, &batch.delta, apply_id),
+            };
             drop(apply_span);
             state = next;
             // group commit: ONE durable record for the whole merged
-            // batch, written (and fsynced) strictly before the epoch
-            // it predicts becomes visible. An I/O failure here is
-            // fail-stop — the writer dies rather than acknowledging a
-            // batch that is not on disk, and submissions then return
-            // `Closed`.
+            // batch (never the per-shard sub-deltas), written (and
+            // fsynced) strictly before the epoch it predicts becomes
+            // visible. An I/O failure here is fail-stop — the writer
+            // dies rather than acknowledging a batch that is not on
+            // disk, and submissions then return `Closed`.
             if let Some(w) = wal.as_mut() {
                 w.append_batch(shared.cell.epoch() + 1, &batch.delta)
                     .expect("WAL append failed; refusing to publish an unlogged batch");
@@ -998,7 +1035,11 @@ fn writer_loop(
                 }
             }
             let mut publish_span = batch_span.child(Stage::Publish);
-            let epoch = shared.cell.publish(state.clone(), Arc::clone(&extids));
+            let epoch = shared.cell.publish(
+                state.clone(),
+                Arc::clone(&extids),
+                Partitions::states(&parts),
+            );
             publish_span.set_epoch(epoch);
             drop(publish_span);
             batch_span.set_epoch(epoch);
@@ -1026,10 +1067,7 @@ fn writer_loop(
                         apply_start,
                         stat.duration,
                         epoch,
-                        trace_detail(
-                            &shared.trace_label,
-                            format_args!("{name} level={}", stat.level),
-                        ),
+                        format!("{name} level={}", stat.level),
                     );
                 }
             }
@@ -1047,8 +1085,14 @@ fn writer_loop(
                 w.append_ddl(shared.cell.epoch() + 1, op)
                     .expect("WAL append failed; refusing to publish an unlogged DDL");
             }
+            // views live on the global state only, so the shard states
+            // republish unchanged and stay coherent
             state = state.apply_ddl(op);
-            let epoch = shared.cell.publish(state.clone(), Arc::clone(&extids));
+            let epoch = shared.cell.publish(
+                state.clone(),
+                Arc::clone(&extids),
+                Partitions::states(&parts),
+            );
             // catalog changed: NO plan carry-forward across this epoch
             // (prune instead of promote). The new epoch starts empty so
             // every query replans against the new catalog; the previous
@@ -1058,7 +1102,7 @@ fn writer_loop(
             let detail = match op {
                 DdlOp::CreateView(def) => {
                     shared.metrics.record_view_created();
-                    format_args!("create {}", def.id()).to_string()
+                    format!("create {}", def.id())
                 }
                 DdlOp::DropView(id) => {
                     shared.metrics.record_view_dropped();
@@ -1066,44 +1110,40 @@ fn writer_loop(
                 }
             };
             ddl_span.set_epoch(epoch);
-            ddl_span.set_detail(trace_detail(&shared.trace_label, format_args!("{detail}")));
+            ddl_span.set_detail(detail);
         }
-        // one compaction per loop at most: a coordinator-ordered remap
-        // (this engine is a shard of a ShardedEngine — the shared remap
-        // keeps shard-local ids equal to global ids) takes precedence
-        // over the engine's own dead-ratio policy
-        let compaction = match batch.compact {
-            Some(remap) => Some((state.compact_with(&remap), remap)),
-            None if should_compact(state.graph(), compact_dead_ratio) => {
-                let (next, remap) = state.compact();
-                Some((next, Arc::new(remap)))
-            }
-            None => None,
-        };
-        if let Some((next, remap)) = compaction {
+        if should_compact(state.graph(), compact_dead_ratio) {
             let mut compact_span = shared.tracer.span(Stage::Compact);
             let before = slot_capacity(state.graph());
+            let epoch = shared.cell.epoch() + 1;
             // a bare epoch-tagged marker: replay re-runs the
             // deterministic compaction instead of logging the remap
             if let Some(w) = wal.as_mut() {
-                w.append_compact(shared.cell.epoch() + 1)
+                w.append_compact(epoch)
                     .expect("WAL append failed; refusing to publish an unlogged compaction");
             }
+            let (next, remap) = state.compact();
             state = next;
+            // every partition applies the identical remap, so shard ids
+            // stay equal to global ids and each shard drops its ghost
+            // copies of the dead slots
+            if let Some(p) = parts.as_mut() {
+                p.compact(&remap, state.graph(), epoch, &shared.pool);
+            }
+            // external ids follow the same remap the delta rebase path
+            // uses, inside the same epoch publish
             Arc::make_mut(&mut extids).remap(&remap);
-            let epoch = shared.cell.publish(state.clone(), Arc::clone(&extids));
+            shared.cell.publish(
+                state.clone(),
+                Arc::clone(&extids),
+                Partitions::states(&parts),
+            );
             shared.cache.promote(epoch);
             let reclaimed = before - slot_capacity(state.graph());
             shared.metrics.record_compaction(reclaimed);
             compact_span.set_epoch(epoch);
-            compact_span.set_detail(trace_detail(
-                &shared.trace_label,
-                format_args!("reclaimed={reclaimed}"),
-            ));
-            // external ids survived the renumbering above: the table
-            // followed the same remap the delta rebase path uses,
-            // inside the same epoch publish
-            remaps.record(epoch, remap);
+            compact_span.set_detail(format!("reclaimed={reclaimed}"));
+            remaps.record(epoch, Arc::new(remap));
             shared
                 .oldest_supported
                 .store(remaps.oldest_supported(), Ordering::Relaxed);

@@ -2,17 +2,17 @@
 //! stdlib [`TcpListener`] — no HTTP framework, no metrics crate, fully
 //! offline, matching the hand-rolled spirit of [`crate::metrics`].
 //!
-//! [`render_prometheus`] turns any [`Observable`] backend into the
-//! text exposition format (version 0.0.4): counters and gauges from
-//! the stitched [`MetricsReport`], per-view series labeled
-//! `{view="..."}`, per-shard series labeled `{shard="N"}`, and full
+//! [`render_prometheus`] turns an [`Engine`] into the text exposition
+//! format (version 0.0.4): counters and gauges from the stitched
+//! [`MetricsReport`](crate::MetricsReport), per-view series labeled
+//! `{view="..."}`, per-partition series labeled `{shard="N"}`, and full
 //! cumulative `_bucket`/`_sum`/`_count` histograms translated from the
 //! log-bucket [`LatencyHistogram`]s. [`MetricsServer`] binds a
 //! listener and serves it from one background thread:
 //!
 //! - `GET /metrics` — the exposition text
 //! - `GET /healthz` — `ok` (liveness)
-//! - `GET /trace`   — the flight-recorder dump ([`Tracer::render_dump`])
+//! - `GET /trace`   — the flight-recorder dump ([`crate::Tracer::render_dump`])
 //!
 //! The accept loop is nonblocking with a short sleep, so dropping the
 //! server stops it promptly without a connection-based wakeup hack.
@@ -25,83 +25,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::engine::Engine;
-use crate::metrics::{LatencyHistogram, MetricsReport};
-use crate::shard::ShardedEngine;
-use crate::trace::Tracer;
-
-/// A serving backend that can be scraped. Object-safe on purpose: the
-/// exposition thread holds an `Arc<dyn Observable>`, so one server
-/// implementation covers [`Engine`], [`ShardedEngine`], and any test
-/// double.
-pub trait Observable: Send + Sync {
-    /// The stitched global report (epoch, plan cache, queue depth
-    /// included).
-    fn scrape_report(&self) -> MetricsReport;
-    /// Per-shard engine reports; empty for an unsharded engine.
-    fn shard_reports(&self) -> Vec<MetricsReport> {
-        Vec::new()
-    }
-    /// Vertex slots owned per shard (the scatter balance gauge); empty
-    /// for an unsharded engine.
-    fn shard_owned_slots(&self) -> Vec<usize> {
-        Vec::new()
-    }
-    /// Visits every live latency histogram as `(metric, shard, hist)`:
-    /// `metric` is the short name (`query`, `apply`), `shard` labels
-    /// per-shard distributions. Visiting the live histograms (not a
-    /// report) is what lets the endpoint emit true cumulative buckets.
-    fn visit_histograms(&self, visit: &mut dyn FnMut(&str, Option<usize>, &LatencyHistogram));
-    /// The tracing subsystem backing `/trace` and the trace gauges.
-    fn tracer(&self) -> &Tracer;
-}
-
-impl Observable for Engine {
-    fn scrape_report(&self) -> MetricsReport {
-        self.metrics()
-    }
-
-    fn visit_histograms(&self, visit: &mut dyn FnMut(&str, Option<usize>, &LatencyHistogram)) {
-        visit("query", None, self.metrics_handle().query_latency());
-        visit("apply", None, self.metrics_handle().apply_latency());
-    }
-
-    fn tracer(&self) -> &Tracer {
-        Engine::tracer(self)
-    }
-}
-
-impl Observable for ShardedEngine {
-    fn scrape_report(&self) -> MetricsReport {
-        self.metrics().global
-    }
-
-    fn shard_reports(&self) -> Vec<MetricsReport> {
-        self.shard_engines().iter().map(Engine::metrics).collect()
-    }
-
-    fn shard_owned_slots(&self) -> Vec<usize> {
-        self.snapshot()
-            .shard_states
-            .iter()
-            .map(|s| s.state.graph().owned_vertex_count())
-            .collect()
-    }
-
-    fn visit_histograms(&self, visit: &mut dyn FnMut(&str, Option<usize>, &LatencyHistogram)) {
-        visit("query", None, self.metrics_handle().query_latency());
-        // the router's own apply+publish distribution plus one labeled
-        // series per shard — the per-shard apply histograms the churn
-        // smoke scrapes
-        visit("apply", None, self.metrics_handle().apply_latency());
-        for (s, shard) in self.shard_engines().iter().enumerate() {
-            visit("apply", Some(s), shard.metrics_handle().apply_latency());
-        }
-    }
-
-    fn tracer(&self) -> &Tracer {
-        ShardedEngine::tracer(self)
-    }
-}
+use crate::metrics::LatencyHistogram;
 
 fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
@@ -174,13 +98,12 @@ fn push_histogram(out: &mut String, name: &str, help: &str, labels: &str, h: &La
     let _ = writeln!(out, "{name}_count{braced} {cumulative}");
 }
 
-/// Renders the backend's full state in the Prometheus text exposition
-/// format (version 0.0.4). Pure function of the backend — the CLI's
-/// `--stats-interval` printer and the `/metrics` endpoint share it
-/// with the tests.
-pub fn render_prometheus(backend: &dyn Observable) -> String {
+/// Renders the engine's full state in the Prometheus text exposition
+/// format (version 0.0.4). Pure function of the engine — the
+/// `/metrics` endpoint shares it with the tests.
+pub fn render_prometheus(engine: &Engine) -> String {
     use std::fmt::Write as _;
-    let r = backend.scrape_report();
+    let r = engine.metrics();
     let mut out = String::with_capacity(4096);
 
     push_counter(
@@ -310,7 +233,7 @@ pub fn render_prometheus(backend: &dyn Observable) -> String {
         r.max_refresh_lag.as_secs_f64(),
     );
 
-    let tracer = backend.tracer();
+    let tracer = engine.tracer();
     push_gauge(
         &mut out,
         "kaskade_trace_enabled",
@@ -449,82 +372,47 @@ pub fn render_prometheus(backend: &dyn Observable) -> String {
         );
     }
 
-    // per-shard series
-    let shards = backend.shard_reports();
-    if !shards.is_empty() {
-        let row = |name: &str, s: usize, v: f64| (format!("{name}{{shard=\"{s}\"}}"), v);
-        let collect = |name: &str, f: &dyn Fn(&MetricsReport) -> f64| {
-            shards
-                .iter()
-                .enumerate()
-                .map(|(s, r)| row(name, s, f(r)))
-                .collect::<Vec<_>>()
-        };
+    // per-partition series: the scatter balance gauge (the shard-local
+    // apply histograms follow below)
+    let snap = engine.snapshot();
+    if !snap.shard_states.is_empty() {
+        let rows: Vec<_> = snap
+            .shard_states
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| {
+                (
+                    format!("kaskade_shard_owned_slots{{shard=\"{s}\"}}"),
+                    shard.state.graph().owned_vertex_count() as f64,
+                )
+            })
+            .collect();
         push_series(
             &mut out,
-            "kaskade_shard_deltas_applied_total",
-            "Sub-deltas applied by this shard engine.",
-            "counter",
-            &collect("kaskade_shard_deltas_applied_total", &|r| {
-                r.deltas_applied as f64
-            }),
-        );
-        push_series(
-            &mut out,
-            "kaskade_shard_batches_published_total",
-            "Batches published by this shard engine.",
-            "counter",
-            &collect("kaskade_shard_batches_published_total", &|r| {
-                r.batches_published as f64
-            }),
-        );
-        push_series(
-            &mut out,
-            "kaskade_shard_apply_seconds_total",
-            "Cumulative apply+publish time on this shard.",
-            "counter",
-            &collect("kaskade_shard_apply_seconds_total", &|r| {
-                r.apply_total.as_secs_f64()
-            }),
-        );
-        push_series(
-            &mut out,
-            "kaskade_shard_queue_depth",
-            "Deltas waiting in this shard's queue.",
+            "kaskade_shard_owned_slots",
+            "Vertex slots owned by this shard.",
             "gauge",
-            &collect("kaskade_shard_queue_depth", &|r| r.queue_depth as f64),
+            &rows,
         );
-        let owned = backend.shard_owned_slots();
-        if !owned.is_empty() {
-            let rows: Vec<_> = owned
-                .iter()
-                .enumerate()
-                .map(|(s, &n)| row("kaskade_shard_owned_slots", s, n as f64))
-                .collect();
-            push_series(
-                &mut out,
-                "kaskade_shard_owned_slots",
-                "Vertex slots owned by this shard.",
-                "gauge",
-                &rows,
-            );
-        }
     }
 
-    // full latency distributions, straight from the live histograms
-    backend.visit_histograms(&mut |metric, shard, hist| {
-        let name = format!("kaskade_{metric}_latency_seconds");
-        let help = match metric {
-            "query" => "Query latency distribution.",
-            "apply" => "Per-batch apply+publish latency distribution.",
-            _ => "Latency distribution.",
-        };
-        let labels = match shard {
-            Some(s) => format!("shard=\"{s}\""),
-            None => String::new(),
-        };
-        push_histogram(&mut out, &name, help, &labels, hist);
-    });
+    // full latency distributions, straight from the live histograms:
+    // the end-to-end batch apply plus one shard-local series per
+    // partition
+    let metrics = engine.metrics_handle();
+    push_histogram(
+        &mut out,
+        "kaskade_query_latency_seconds",
+        "Query latency distribution.",
+        "",
+        metrics.query_latency(),
+    );
+    let apply_help = "Per-batch apply+publish latency distribution.";
+    let apply = "kaskade_apply_latency_seconds";
+    push_histogram(&mut out, apply, apply_help, "", metrics.apply_latency());
+    for (s, hist) in engine.shard_apply_latency().iter().enumerate() {
+        push_histogram(&mut out, apply, apply_help, &format!("shard=\"{s}\""), hist);
+    }
 
     let _ = writeln!(out, "# EOF");
     out
@@ -542,8 +430,8 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9100`) and starts serving
-    /// `backend` — `/metrics`, `/healthz`, and `/trace`.
-    pub fn bind(addr: &str, backend: Arc<dyn Observable>) -> std::io::Result<MetricsServer> {
+    /// `engine` — `/metrics`, `/healthz`, and `/trace`.
+    pub fn bind(addr: &str, engine: Arc<Engine>) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -551,7 +439,7 @@ impl MetricsServer {
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("kaskade-metrics".into())
-            .spawn(move || accept_loop(listener, backend, thread_stop))?;
+            .spawn(move || accept_loop(listener, engine, thread_stop))?;
         Ok(MetricsServer {
             addr,
             stop,
@@ -574,11 +462,11 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, backend: Arc<dyn Observable>, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, engine: Arc<Engine>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = handle_connection(stream, &*backend);
+                let _ = handle_connection(stream, &engine);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -591,7 +479,7 @@ fn accept_loop(listener: TcpListener, backend: Arc<dyn Observable>, stop: Arc<At
 /// Answers one request: reads until the header terminator, routes on
 /// the path, writes a Connection: close response. Deliberately
 /// tolerant — a scraper only needs the verb-less essentials.
-fn handle_connection(mut stream: TcpStream, backend: &dyn Observable) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, engine: &Engine) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // a single read() may return an arbitrary prefix of the request
@@ -621,8 +509,8 @@ fn handle_connection(mut stream: TcpStream, backend: &dyn Observable) -> std::io
         .unwrap_or("/");
     let (status, body) = match path {
         "/healthz" => ("200 OK", "ok\n".to_string()),
-        "/metrics" | "/" => ("200 OK", render_prometheus(backend)),
-        "/trace" => ("200 OK", backend.tracer().render_dump()),
+        "/metrics" | "/" => ("200 OK", render_prometheus(engine)),
+        "/trace" => ("200 OK", engine.tracer().render_dump()),
         _ => ("404 Not Found", "not found\n".to_string()),
     };
     let response = format!(
@@ -679,14 +567,13 @@ mod tests {
 
     #[test]
     fn sharded_exposition_labels_shards() {
-        use crate::shard::ShardedConfig;
         let g = generate_provenance(&ProvenanceConfig::tiny(5).core_only());
         let k = Kaskade::new(g, Schema::provenance());
-        let sharded = ShardedEngine::with_config(
+        let sharded = Engine::with_config(
             k.snapshot(),
-            ShardedConfig {
+            crate::EngineConfig {
                 scatter_min_vertices: 0,
-                ..ShardedConfig::hash(2)
+                ..crate::EngineConfig::hash(2)
             },
         );
         let mut delta = kaskade_core::GraphDelta::new();
@@ -695,8 +582,8 @@ mod tests {
         sharded.flush();
         let text = render_prometheus(&sharded);
         for needle in [
-            "kaskade_shard_deltas_applied_total{shard=\"0\"}",
-            "kaskade_shard_deltas_applied_total{shard=\"1\"}",
+            "kaskade_apply_latency_seconds_count{shard=\"0\"}",
+            "kaskade_apply_latency_seconds_count{shard=\"1\"}",
             "kaskade_shard_owned_slots{shard=\"0\"}",
             "kaskade_epoch 1",
         ] {
@@ -707,8 +594,7 @@ mod tests {
     #[test]
     fn server_answers_metrics_healthz_and_trace() {
         let e = Arc::new(engine());
-        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&e) as Arc<dyn Observable>)
-            .expect("bind");
+        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&e)).expect("bind");
         let get = |path: &str| {
             let mut s = TcpStream::connect(server.addr()).expect("connect");
             s.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
@@ -734,8 +620,7 @@ mod tests {
     #[test]
     fn server_survives_byte_by_byte_client() {
         let e = Arc::new(engine());
-        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&e) as Arc<dyn Observable>)
-            .expect("bind");
+        let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&e)).expect("bind");
         let mut s = TcpStream::connect(server.addr()).expect("connect");
         s.set_nodelay(true).unwrap();
         for b in b"GET /healthz HTTP/1.0\r\n\r\n" {

@@ -38,13 +38,15 @@
 //!   per `(epoch, alpha-normalized query)`, with hit/miss counters
 //!   surfaced through [`metrics`].
 //!
-//! A fourth module scales the first three out: **sharding**
-//! ([`shard`]) partitions the base graph across per-shard engines
-//! behind a router ([`ShardedEngine`]), parallelizing delta apply and
-//! view refresh on the write path and scattering/gathering pattern
-//! matching on the read path — observationally identical to a single
-//! engine (differential proptests enforce byte-identical query
-//! results, views, and statistics).
+//! A fourth module scales the first three out: **partitioning**
+//! ([`shard`]). With [`EngineConfig::partitioner`] over N > 1 shards the
+//! same engine — same writer loop, same read path — splits every batch
+//! across N catalog-free shard partitions applied in parallel on its
+//! worker pool, assembles the global state from them, and scatters
+//! pattern matching across them on the read path. It is
+//! observationally identical to one partition (differential proptests
+//! enforce byte-identical query results, views, and statistics).
+//! [`ShardedEngine`] is a thin handle over such an engine.
 //!
 //! ```
 //! use kaskade_core::{GraphDelta, Kaskade};
@@ -95,15 +97,15 @@ pub mod wal;
 
 pub use advisor::{advise_once, Advisor, AdvisorConfig, AdvisorState, AdvisorTick};
 pub use anchor::execute_anchored;
-pub use drive::{drive, snapshot_is_consistent, DriveConfig, DriveOutcome, ServingBackend};
+pub use drive::{drive, drive_until, snapshot_is_consistent, DriveConfig, DriveOutcome};
 pub use engine::{Engine, EngineConfig, SubmitError, SubmitOpts};
-pub use expose::{render_prometheus, MetricsServer, Observable};
+pub use expose::{render_prometheus, MetricsServer};
 pub use metrics::{LatencyHistogram, Metrics, MetricsReport, ViewMetrics};
 pub use plan_cache::{plan_key, PlanCache};
 pub use pool::WorkerPool;
 pub use shard::{
-    HashPartitioner, Partitioner, ShardedConfig, ShardedEngine, ShardedMetricsReport,
-    ShardedReader, ShardedSnapshot, TypePartitioner,
+    per_shard_lines, HashPartitioner, Partitioner, ShardedConfig, ShardedEngine,
+    ShardedMetricsReport, ShardedReader, ShardedSnapshot, TypePartitioner,
 };
 pub use snapshot::{EpochSnapshot, Reader, SnapshotCell};
 pub use stream::{burst_delta, churn_delta, delta_for, hot_key_delta, scripted_delta, Workload};

@@ -58,12 +58,10 @@ impl LatencyHistogram {
         Duration::from_nanos(self.sum_nanos.load(Ordering::Relaxed))
     }
 
-    /// Adds every sample of `other` into `self`. This is how
-    /// `ShardedMetricsReport` gets **true merged quantiles**: merge the
-    /// per-shard histograms into a scratch histogram, then take
-    /// [`LatencyHistogram::quantile`] of the merge — rather than
-    /// averaging (meaningless for quantiles) or reporting only the
-    /// coordinator-side distribution.
+    /// Adds every sample of `other` into `self`, so quantiles of
+    /// several distributions (e.g. per-partition histograms) come from
+    /// their true combination — never from averaging per-histogram
+    /// quantiles, which is meaningless.
     pub fn merge(&self, other: &LatencyHistogram) {
         let mut merged = 0u64;
         for (b, o) in self.buckets.iter().zip(other.buckets.iter()) {
@@ -389,9 +387,8 @@ impl Metrics {
         &self.latency
     }
 
-    /// The per-batch apply+publish latency histogram. The sharded
-    /// report merges each shard's apply histogram through
-    /// [`LatencyHistogram::merge`] for true cross-shard quantiles.
+    /// The per-batch apply+publish latency histogram: one sample per
+    /// published batch.
     pub fn apply_latency(&self) -> &LatencyHistogram {
         &self.apply_latency
     }
@@ -418,10 +415,7 @@ impl Metrics {
     /// **The** report constructor: a point-in-time copy of every
     /// counter, with derived quantiles, plus the context only the
     /// owning engine has — the published epoch, the plan cache, and the
-    /// current queue depth. Both `Engine` and `ShardedEngine` build
-    /// their reports through this one path, so the stitching of
-    /// `epoch`/`plan_cache_*` cannot drift between them (it used to be
-    /// duplicated fix-up code in each engine).
+    /// current queue depth.
     pub fn report_with(
         &self,
         epoch: u64,
@@ -539,13 +533,11 @@ pub struct MetricsReport {
     pub p50: Duration,
     /// 99th-percentile query latency (log-bucket upper bound).
     pub p99: Duration,
-    /// Median per-batch apply+publish latency. In a
-    /// `ShardedMetricsReport` this is the **merged** cross-shard
-    /// distribution (see [`LatencyHistogram::merge`]), not the
-    /// coordinator's own.
+    /// Median per-batch apply+publish latency: the end-to-end batch
+    /// apply on every topology (a per-partition report carries the
+    /// shard-local apply instead).
     pub apply_p50: Duration,
-    /// 99th-percentile per-batch apply+publish latency (merged
-    /// cross-shard in a `ShardedMetricsReport`).
+    /// 99th-percentile per-batch apply+publish latency.
     pub apply_p99: Duration,
     /// Individual deltas applied by the write path.
     pub deltas_applied: u64,
@@ -581,8 +573,8 @@ pub struct MetricsReport {
     pub batches_published: u64,
     /// Cumulative apply+publish time across all batches — the total
     /// wall-clock the write path spent ingesting. The `serve_sharded`
-    /// experiment compares this figure per shard against the
-    /// single-engine total to show the write path parallelizing.
+    /// experiment compares the per-partition figures against the
+    /// single-partition total to show the write path parallelizing.
     pub apply_total: Duration,
     /// Apply+publish duration of the most recent batch.
     pub last_refresh: Duration,
@@ -607,6 +599,21 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
+    /// A partition's report: its shard-local apply distribution (one
+    /// sample per batch that changed the partition) and the epoch that
+    /// last changed it. Every other counter is engine-wide and stays
+    /// zero here.
+    pub(crate) fn for_partition(apply: &LatencyHistogram, epoch: u64) -> MetricsReport {
+        let mut r = Metrics::default().base_report();
+        r.deltas_applied = apply.count();
+        r.batches_published = apply.count();
+        r.apply_p50 = apply.quantile(0.50);
+        r.apply_p99 = apply.quantile(0.99);
+        r.apply_total = apply.sum();
+        r.epoch = epoch;
+        r
+    }
+
     /// `hits / (hits + misses)`, or 0.0 before any lookup.
     pub fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;

@@ -11,8 +11,8 @@
 //! once per engine, parked on a condvar when idle, fed jobs through an
 //! injector queue. It implements [`ParallelExec`], so the graph-layer
 //! merge publish, the refresh DAG, and the shard scatter all share one
-//! pool — zero thread spawns in steady-state serving (asserted by the
-//! [`kaskade_graph::thread_spawns`] counter in tests).
+//! pool — zero thread spawns in steady-state serving (asserted through
+//! [`WorkerPool::dispatches`] in tests).
 //!
 //! The caller of [`WorkerPool::run`] *helps*: it claims task indices
 //! alongside the workers rather than blocking, which both uses the
@@ -168,6 +168,23 @@ impl WorkerPool {
     /// callers are not counted) since creation.
     pub fn tasks_run(&self) -> u64 {
         self.tasks_run.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f(0)..f(n-1)` on the pool and returns the results in index
+    /// order.
+    pub fn map<T: Send>(&self, n: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run(n, &|i| {
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(f(i));
+        });
+        slots
+            .into_iter()
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("every pool task completed")
+            })
+            .collect()
     }
 }
 

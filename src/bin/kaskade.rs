@@ -20,7 +20,7 @@
 //!   --duration-ms N run the serving loop this long  (default 2000)
 //!   --write-every-ms N  delta cadence; 0 = no writer (default 2)
 //!   --workload W    append | churn | hotkey | burst (default append)
-//!   --shards N      partition the graph over N engines (default 1)
+//!   --shards N      partition the graph over N shards (default 1)
 //!   --pool-threads N    worker threads in the persistent scatter /
 //!                       merge / refresh pool (default 0 = cores - 1)
 //!   --compact-ratio F   dead-slot fraction triggering slot compaction
@@ -88,9 +88,10 @@
 //! N reader threads loop the workload while a writer streams scripted
 //! schema-valid deltas; on exit it prints the engine metrics (reads/s,
 //! latency quantiles, plan-cache hit rate, refresh lag). With
-//! `--shards N > 1` the base graph partitions across N per-shard
-//! engines behind a scatter/gather router — same results, parallel
-//! write path — and per-shard metrics are printed too.
+//! `--shards N > 1` the engine partitions the base graph across N
+//! shards applied in parallel on its worker pool, with scatter/gather
+//! reads — same results, parallel write path — and per-shard apply
+//! metrics are printed too.
 //!
 //! Examples:
 //!
@@ -109,8 +110,8 @@ use kaskade::core::{Kaskade, SelectionConfig};
 use kaskade::datasets::Dataset;
 use kaskade::query::{listings, parse, Query, Table};
 use kaskade::service::{
-    drive, Advisor, AdvisorConfig, DriveConfig, DriveOutcome, Engine, EngineConfig, MetricsServer,
-    Observable, ShardedConfig, ShardedEngine, Tracer, WalConfig, Workload,
+    drive, per_shard_lines, Advisor, AdvisorConfig, DriveConfig, DriveOutcome, Engine,
+    EngineConfig, MetricsServer, Tracer, WalConfig, Workload,
 };
 
 fn usage() -> ExitCode {
@@ -454,12 +455,9 @@ struct ObservabilityRig {
     printer: Option<std::thread::JoinHandle<()>>,
 }
 
-fn start_observability(
-    c: &CommonArgs,
-    backend: Arc<dyn Observable>,
-) -> Result<ObservabilityRig, ExitCode> {
+fn start_observability(c: &CommonArgs, engine: Arc<Engine>) -> Result<ObservabilityRig, ExitCode> {
     let server = match &c.metrics_addr {
-        Some(addr) => match MetricsServer::bind(addr, Arc::clone(&backend)) {
+        Some(addr) => match MetricsServer::bind(addr, Arc::clone(&engine)) {
             Ok(server) => {
                 // tests bind port 0 and read the resolved port here
                 eprintln!("metrics endpoint on http://{}/metrics", server.addr());
@@ -481,7 +479,7 @@ fn start_observability(
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(Duration::from_millis(10).min(every));
                 if Instant::now() >= next {
-                    eprintln!("--- stats ---\n{}", backend.scrape_report());
+                    eprintln!("--- stats ---\n{}", engine.metrics());
                     next += every;
                 }
             }
@@ -626,16 +624,20 @@ fn cmd_serve(dataset: Dataset, mut c: CommonArgs) -> ExitCode {
         c.write_every_ms,
         c.duration_ms
     );
-    // the span/flight-recorder subsystem: shared by the engine (or the
-    // router plus every shard), the scrape endpoint, and the dumps
+    // the span/flight-recorder subsystem: shared by the engine, the
+    // scrape endpoint, and the dumps
     let tracer = Arc::new(Tracer::new(c.trace));
     if c.slow_query_ms > 0.0 {
         tracer.set_slow_query_threshold(Some(Duration::from_secs_f64(c.slow_query_ms / 1000.0)));
     }
-    // durability: every published batch appends to the WAL before it
-    // becomes visible, and the dense state checkpoints periodically
-    let wal = |c: &CommonArgs| {
-        c.wal_dir.as_ref().map(|dir| WalConfig {
+    let config = EngineConfig {
+        compact_dead_ratio: c.compact_ratio,
+        pool_threads: c.pool_threads,
+        tracer: Some(Arc::clone(&tracer)),
+        // durability: every published batch appends to the WAL before
+        // it becomes visible, and the dense state checkpoints
+        // periodically
+        wal: c.wal_dir.as_ref().map(|dir| WalConfig {
             fsync: !c.no_fsync,
             checkpoint_every: c.checkpoint_every,
             // --recover counts as overwrite consent for the fresh-start
@@ -643,153 +645,78 @@ fn cmd_serve(dataset: Dataset, mut c: CommonArgs) -> ExitCode {
             // the directory is unrecoverable anyway
             overwrite: c.wal_overwrite || c.recover,
             ..WalConfig::new(dir)
-        })
+        }),
+        ..EngineConfig::hash(shards)
     };
-    // the self-driving admission loop, shared by both engine shapes:
-    // started right before drive(), stopped (and reported) right after
-    let advisor_cfg = |c: &CommonArgs| AdvisorConfig {
-        every: Duration::from_millis(c.advise_every_ms),
-        budget_edges: c.view_budget,
-        ..AdvisorConfig::default()
+    let engine = if c.recover {
+        match Engine::recover(config.clone()) {
+            Ok(Some(e)) => {
+                eprintln!("recovered epoch {} from the write-ahead log", e.epoch());
+                Ok(e)
+            }
+            Ok(None) => {
+                eprintln!(
+                    "warning: nothing to recover in {}; starting fresh",
+                    c.wal_dir.as_deref().unwrap_or("?")
+                );
+                Engine::try_with_config(kaskade.snapshot(), config)
+            }
+            Err(e) => {
+                eprintln!("recovery failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        Engine::try_with_config(kaskade.snapshot(), config)
     };
-    let finish_advisor = |advisor: Option<Advisor>| {
-        if let Some(mut advisor) = advisor {
-            advisor.stop();
-            eprintln!(
-                "advisor: {} tick(s), {} migration(s)",
-                advisor.ticks(),
-                advisor.migrations()
-            );
+    let engine = match engine {
+        Ok(e) => Arc::new(e),
+        Err(e) => {
+            let hint = if c.recover {
+                ""
+            } else {
+                " (pass --recover to resume it, or --wal-overwrite to discard it)"
+            };
+            eprintln!("failed to open the write-ahead log: {e}{hint}");
+            return ExitCode::FAILURE;
         }
     };
+    let rig = match start_observability(&c, Arc::clone(&engine)) {
+        Ok(rig) => rig,
+        Err(code) => return code,
+    };
+    // the self-driving admission loop: started right before drive(),
+    // stopped (and reported) right after
+    let advisor = c.adaptive.then(|| {
+        Advisor::start(
+            Arc::clone(&engine),
+            Arc::clone(&tracer),
+            AdvisorConfig {
+                every: Duration::from_millis(c.advise_every_ms),
+                budget_edges: c.view_budget,
+                ..AdvisorConfig::default()
+            },
+        )
+    });
+    let outcome = drive(&engine, &workload, &cfg);
+    if let Some(mut advisor) = advisor {
+        advisor.stop();
+        eprintln!(
+            "advisor: {} tick(s), {} migration(s)",
+            advisor.ticks(),
+            advisor.migrations()
+        );
+    }
+    rig.finish();
+    let snap = engine.snapshot();
+    let g = snap.state.graph();
     // (capacity, live): final id-slot capacity vs live element count —
     // the numbers the compaction policy bounds
-    type ServeStats = ((usize, usize), (usize, usize));
-    let (outcome, shard_lines, stats): (DriveOutcome, Option<String>, ServeStats) = if shards > 1 {
-        let config = |c: &CommonArgs| ShardedConfig {
-            compact_dead_ratio: c.compact_ratio,
-            pool_threads: c.pool_threads,
-            tracer: Some(Arc::clone(&tracer)),
-            wal: wal(c),
-            ..ShardedConfig::hash(shards)
-        };
-        let engine = if c.recover {
-            match ShardedEngine::recover(config(&c)) {
-                Ok(Some(e)) => {
-                    eprintln!("recovered epoch {} from the write-ahead log", e.epoch());
-                    Arc::new(e)
-                }
-                Ok(None) => {
-                    eprintln!(
-                        "warning: nothing to recover in {}; starting fresh",
-                        c.wal_dir.as_deref().unwrap_or("?")
-                    );
-                    match ShardedEngine::try_with_config(kaskade.snapshot(), config(&c)) {
-                        Ok(e) => Arc::new(e),
-                        Err(e) => {
-                            eprintln!("failed to open the write-ahead log: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("recovery failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            match ShardedEngine::try_with_config(kaskade.snapshot(), config(&c)) {
-                Ok(e) => Arc::new(e),
-                Err(e) => {
-                    eprintln!("failed to open the write-ahead log: {e} (pass --recover to resume it, or --wal-overwrite to discard it)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        let rig = match start_observability(&c, Arc::clone(&engine) as Arc<dyn Observable>) {
-            Ok(rig) => rig,
-            Err(code) => return code,
-        };
-        let advisor = c
-            .adaptive
-            .then(|| Advisor::start(Arc::clone(&engine), Arc::clone(&tracer), advisor_cfg(&c)));
-        let outcome = drive(&*engine, &workload, &cfg);
-        finish_advisor(advisor);
-        rig.finish();
-        let lines = engine.metrics().per_shard_lines();
-        let snap = engine.snapshot();
-        let g = snap.state.graph();
-        let stats = (
-            (
-                g.vertex_slots() + g.edge_slots(),
-                g.vertex_count() + g.edge_count(),
-            ),
-            (g.vertex_count(), g.edge_count()),
-        );
-        (outcome, Some(lines), stats)
-    } else {
-        let config = |c: &CommonArgs| EngineConfig {
-            compact_dead_ratio: c.compact_ratio,
-            pool_threads: c.pool_threads,
-            tracer: Some(Arc::clone(&tracer)),
-            wal: wal(c),
-            ..EngineConfig::default()
-        };
-        let engine = if c.recover {
-            match Engine::recover(config(&c)) {
-                Ok(Some(e)) => {
-                    eprintln!("recovered epoch {} from the write-ahead log", e.epoch());
-                    Arc::new(e)
-                }
-                Ok(None) => {
-                    eprintln!(
-                        "warning: nothing to recover in {}; starting fresh",
-                        c.wal_dir.as_deref().unwrap_or("?")
-                    );
-                    match Engine::try_with_config(kaskade.snapshot(), config(&c)) {
-                        Ok(e) => Arc::new(e),
-                        Err(e) => {
-                            eprintln!("failed to open the write-ahead log: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("recovery failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            match Engine::try_with_config(kaskade.snapshot(), config(&c)) {
-                Ok(e) => Arc::new(e),
-                Err(e) => {
-                    eprintln!("failed to open the write-ahead log: {e} (pass --recover to resume it, or --wal-overwrite to discard it)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        };
-        let rig = match start_observability(&c, Arc::clone(&engine) as Arc<dyn Observable>) {
-            Ok(rig) => rig,
-            Err(code) => return code,
-        };
-        let advisor = c
-            .adaptive
-            .then(|| Advisor::start(Arc::clone(&engine), Arc::clone(&tracer), advisor_cfg(&c)));
-        let outcome = drive(&*engine, &workload, &cfg);
-        finish_advisor(advisor);
-        rig.finish();
-        let snap = engine.snapshot();
-        let g = snap.state.graph();
-        let stats = (
-            (
-                g.vertex_slots() + g.edge_slots(),
-                g.vertex_count() + g.edge_count(),
-            ),
-            (g.vertex_count(), g.edge_count()),
-        );
-        (outcome, None, stats)
-    };
-    let (slots, counts) = stats;
+    let slots = (
+        g.vertex_slots() + g.edge_slots(),
+        g.vertex_count() + g.edge_count(),
+    );
+    let counts = (g.vertex_count(), g.edge_count());
     println!(
         "reads              {} ok / {} errors ({:.0} reads/s)",
         outcome.reads,
@@ -803,8 +730,8 @@ fn cmd_serve(dataset: Dataset, mut c: CommonArgs) -> ExitCode {
     println!("{}", outcome.report);
     let (capacity, live) = slots;
     println!("id slots           {capacity} capacity / {live} live");
-    if let Some(lines) = shard_lines {
-        print!("{lines}");
+    if shards > 1 {
+        print!("{}", per_shard_lines(&engine.shard_reports()));
     }
     if c.stats_json {
         println!("{}", outcome_json(&outcome, &tracer, counts));

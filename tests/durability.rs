@@ -6,8 +6,9 @@
 //! across forced checkpoints and compactions — must end **byte
 //! identical** (graph, schema, statistics, view catalog, epoch) to an
 //! engine that served the same delta sequence without ever restarting.
-//! The property runs against both the single engine and a 4-shard
-//! router (whose recovery re-partitions the recovered global state).
+//! The property runs against both a single-partition engine and a
+//! 4-shard engine (whose recovery re-partitions the recovered global
+//! state).
 //!
 //! The suite also pins the staleness fix: deltas addressed purely by
 //! external ids survive arbitrarily many slot compactions — far past
@@ -128,7 +129,7 @@ impl ExtChurn {
     }
 }
 
-/// A durable backend under test: single engine or sharded router,
+/// A durable backend under test: single or 4-shard engine,
 /// restartable in place from its WAL directory.
 enum Durable {
     Single(Option<Engine>),
@@ -287,7 +288,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// THE durability acceptance property: recovery is byte-identical
-    /// to never having crashed — single engine and 4-shard router,
+    /// to never having crashed — single and 4-shard engines,
     /// with forced checkpoints and mid-sequence restarts.
     #[test]
     fn recovery_is_byte_identical_to_uninterrupted_serving(

@@ -571,8 +571,8 @@ proptest! {
         );
     }
 
-    /// THE merged-publish acceptance property: the sharded router no
-    /// longer re-runs `apply_delta` over the global graph — it stages
+    /// THE merged-publish acceptance property: a partitioned engine
+    /// does not re-run `apply_delta` over the global graph — it stages
     /// the batch's mutations and assembles the published CSR from the
     /// shard CSRs in parallel. For any schema-valid churn sequence and
     /// any shard count in {1, 2, 3, 8}, the graph published after
