@@ -403,26 +403,23 @@ fn print_serve(dataset: Option<Dataset>) {
 
     println!("\n  sharded ingest: identical churn sequence through single vs sharded engines");
     println!(
-        "    {:>7} {:>7} {:>13} {:>13} {:>13} {:>13} {:>6} {:>9}",
-        "shards", "writes", "single", "coordinator", "shard max", "shard sum", "equal", "coherent"
+        "    {:>7} {:>7} {:>13} {:>13} {:>6} {:>10}",
+        "shards", "writes", "single", "partitioned", "equal", "consistent"
     );
     for r in serve_sharded(d, SCALE, SEED, &[2, 4], 120) {
         println!(
-            "    {:>7} {:>7} {:>13} {:>13} {:>13} {:>13} {:>6} {:>9}",
+            "    {:>7} {:>7} {:>13} {:>13} {:>6} {:>10}",
             r.shards,
             r.writes,
             format!("{:.1?}", r.single_apply),
-            format!("{:.1?}", r.coordinator_apply),
-            format!("{:.1?}", r.max_shard_apply()),
-            format!("{:.1?}", r.sum_shard_apply()),
+            format!("{:.1?}", r.partitioned_apply),
             if r.results_equal { "yes" } else { "NO" },
-            if r.coherent { "yes" } else { "NO" },
+            if r.consistent { "yes" } else { "NO" },
         );
     }
-    println!("\n  (`single` is the whole unsharded write path per the same delta sequence;");
-    println!("   `shard max` is the parallel ingest critical path — per-shard delta apply");
-    println!("   runs concurrently, and connector view refresh inside `coordinator` fans");
-    println!("   out one worker per shard)");
+    println!("\n  (both columns are the total apply+publish time of the same write path;");
+    println!("   the partitioned engine splits connector frontier work one pool task per");
+    println!("   partition)");
 
     println!("\n  slot compaction: constant-live churn, compaction disabled vs dead-ratio 0.5");
     println!(
@@ -528,7 +525,7 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
         }
         return;
     }
-    header("SCALE: publish latency vs shard count (merged publish, persistent pool)");
+    header("SCALE: publish latency vs shard count (persistent pool)");
     println!(
         "  {} — hotkey workload, 4 readers, writer every 2ms, per shard count",
         d.short_name()
@@ -561,10 +558,10 @@ fn print_scale(dataset: Option<Dataset>, json: bool) {
             if r.final_consistent { "yes" } else { "NO" },
         );
     }
-    println!("\n  (the publish path assembles the global CSR from the shard CSRs on the");
-    println!("   persistent pool instead of re-running the whole apply serially. CI's");
-    println!("   publish-scaling gate bounds the 8-shard mean publish latency at 1.3x");
-    println!("   the 1-shard run on >=8-core runners)");
+    println!("\n  (every shard count applies batches through the same write path over the");
+    println!("   one graph; partitions only split connector frontier work and read");
+    println!("   scatter on the persistent pool. CI's publish-scaling gate bounds the");
+    println!("   8-shard mean publish latency at 1.3x the 1-shard run on >=8-core runners)");
 }
 
 fn print_recovery(json: bool) {

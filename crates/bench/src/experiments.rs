@@ -473,45 +473,23 @@ pub struct ShardedServeRow {
     /// incremental stats, and view maintenance — the whole serial
     /// write path).
     pub single_apply: Duration,
-    /// Total end-to-end apply+publish time of the partitioned engine
-    /// (shard applies, merged publish, parallel view refresh, stats
-    /// merge).
-    pub coordinator_apply: Duration,
-    /// Each partition's shard-local ingest total (sub-delta apply and
-    /// per-shard incremental statistics). Partitions apply
-    /// concurrently, so the effective per-batch ingest cost is the
-    /// max, not the sum.
-    pub shard_apply: Vec<Duration>,
+    /// Total apply+publish time of the partitioned engine (the same
+    /// write path, with connector frontier work split by partition).
+    pub partitioned_apply: Duration,
     /// Whether the blast-radius query returned byte-identical tables
     /// from both engines after the final flush.
     pub results_equal: bool,
-    /// Whether the final partitioned snapshot passed
-    /// [`kaskade_service::EpochSnapshot::is_coherent`].
-    pub coherent: bool,
-}
-
-impl ShardedServeRow {
-    /// The slowest shard's ingest total — the parallel write path's
-    /// critical path.
-    pub fn max_shard_apply(&self) -> Duration {
-        self.shard_apply.iter().copied().max().unwrap_or_default()
-    }
-
-    /// Sum of every shard's ingest total (total work, ignoring
-    /// parallelism).
-    pub fn sum_shard_apply(&self) -> Duration {
-        self.shard_apply.iter().sum()
-    }
+    /// Whether the final partitioned snapshot passed the
+    /// scratch-rebuild oracle ([`kaskade_service::snapshot_is_consistent`]).
+    pub consistent: bool,
 }
 
 /// Sharded ingest: pre-scripts `steps` churn deltas (derived
 /// sequentially, so they stay schema- and liveness-valid under any
 /// batching), feeds the identical sequence to a one-partition
 /// [`Engine`] and to an engine partitioned per shard count, and reports
-/// per-partition
-/// ingest timings against the single-engine write path, plus the
-/// differential checks (byte-identical query results, coherent final
-/// snapshot).
+/// both ingest totals plus the differential checks (byte-identical
+/// query results, consistent final snapshot).
 pub fn serve_sharded(
     dataset: Dataset,
     scale: usize,
@@ -522,7 +500,7 @@ pub fn serve_sharded(
     let graph = dataset.generate(scale, seed);
     let mut kaskade = Kaskade::new(graph, dataset.schema());
     // the connector is the view whose maintenance dominates the write
-    // path — exactly what the sharded engine parallelizes
+    // path — the work partitions split across the pool
     if dataset.is_heterogeneous() {
         kaskade.materialize_view(ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 2)));
     }
@@ -579,22 +557,17 @@ pub fn serve_sharded(
                 shards,
                 writes: deltas.len() as u64,
                 single_apply: single.metrics().apply_total,
-                coordinator_apply: sharded.metrics().apply_total,
-                shard_apply: sharded
-                    .shard_reports()
-                    .iter()
-                    .map(|s| s.apply_total)
-                    .collect(),
+                partitioned_apply: sharded.metrics().apply_total,
                 results_equal,
-                coherent: sharded.snapshot().is_coherent(),
+                consistent: kaskade_service::snapshot_is_consistent(&sharded.snapshot().state),
             }
         })
         .collect()
 }
 
 /// One row of the serve-scale experiment: the hotkey workload served
-/// live (concurrent readers + writer) at one shard count, through the
-/// merged publish path and the persistent worker pool.
+/// live (concurrent readers + writer) at one shard count, on the
+/// persistent worker pool.
 #[derive(Debug, Clone)]
 pub struct ScaleRow {
     /// Partition count (1 = unpartitioned).
@@ -615,19 +588,17 @@ pub struct ScaleRow {
     /// Deltas the writer submitted.
     pub writes: u64,
     /// Multi-task dispatches the persistent worker pool served
-    /// (scatter, merged publish, pool-backed refresh).
+    /// (scatter, pool-backed refresh).
     pub pool_dispatches: u64,
     /// Whether the final snapshot passed the full consistency oracle.
     pub final_consistent: bool,
 }
 
 /// Publish-path scaling: the identical hotkey serving run (concurrent
-/// readers, writer on a fixed cadence) swept over shard counts. With
-/// the serial coordinator apply this degraded super-linearly in the
-/// shard count (the coordinator redid the whole global apply while
-/// shards idled at the barrier); with the merged publish the apply
-/// quantiles should stay within a small constant of the 1-shard run —
-/// the property CI's `serve_scale` gate pins down.
+/// readers, writer on a fixed cadence) swept over shard counts. Every
+/// partition count applies batches through the same write path, so the
+/// apply quantiles should stay within a small constant of the 1-shard
+/// run — the property CI's `serve_scale` gate pins down.
 pub fn serve_scale(
     dataset: Dataset,
     scale: usize,
@@ -1351,16 +1322,19 @@ mod tests {
         let rows = serve_sharded(Dataset::Prov, 1, 39, &[1, 4], 40);
         assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert_eq!(r.shard_apply.len(), r.shards);
             assert!(r.writes > 0, "{r:?}");
             assert!(
                 r.results_equal,
                 "{}-shard results diverged from the single engine",
                 r.shards
             );
-            assert!(r.coherent, "{}-shard final snapshot torn", r.shards);
+            assert!(
+                r.consistent,
+                "{}-shard final snapshot inconsistent",
+                r.shards
+            );
             assert!(r.single_apply > Duration::ZERO);
-            assert!(r.max_shard_apply() <= r.sum_shard_apply());
+            assert!(r.partitioned_apply > Duration::ZERO);
         }
     }
 

@@ -7,7 +7,7 @@ use kaskade_graph::{Graph, GraphStats};
 use crate::views::ViewDef;
 
 /// A typed handle to a materialized view: the view's stable slot in
-/// the [`Catalog`]. Plans, the refresh DAG, and shard routing reference
+/// the [`Catalog`]. Plans and the refresh DAG reference
 /// views through `ViewId` instead of display strings — slots are
 /// stable because the serving write path refreshes entries in place
 /// ([`crate::Snapshot::with_delta`]), compaction carries the catalog

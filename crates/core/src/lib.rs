@@ -53,8 +53,8 @@ pub use facts::{
     assert_pattern_facts, assert_query_facts, assert_schema_facts, base_database, database_for,
 };
 pub use maintain::{
-    apply_delta, stage_delta, stat_changes, AppliedDelta, DelEdge, DeltaError, GraphDelta, NewEdge,
-    NewVertex, StagedDelta, VRef,
+    apply_delta, stat_changes, AppliedDelta, DelEdge, DeltaError, GraphDelta, NewEdge, NewVertex,
+    VRef,
 };
 pub use materialize::materialize;
 pub use refresh::{

@@ -30,8 +30,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use kaskade_graph::{
-    DegreeChange, ExternalIdTable, Graph, GraphBuilder, GraphEditor, IdRemap, ParallelExec,
-    SerialExec, Value, VertexId,
+    DegreeChange, ExternalIdTable, Graph, GraphBuilder, IdRemap, ParallelExec, SerialExec, Value,
+    VertexId,
 };
 
 use crate::views::ConnectorDef;
@@ -64,13 +64,6 @@ pub struct NewVertex {
     pub vtype: String,
     /// Initial properties.
     pub props: Vec<(String, Value)>,
-    /// Whether the vertex is inserted as a **ghost** — a shard-local
-    /// replica of a vertex owned by another shard. Sub-deltas produced
-    /// by [`GraphDelta::split`] broadcast every vertex insertion to
-    /// every shard (keeping id slots aligned), ghost everywhere except
-    /// on the owner. Always `false` for deltas built through
-    /// [`GraphDelta::add_vertex`].
-    pub ghost: bool,
     /// Permanent external id to bind to the vertex at apply time, if
     /// the client wants a compaction-stable name for it (see
     /// [`GraphDelta::add_vertex_ext`]). Binding a key that is already
@@ -140,7 +133,6 @@ impl GraphDelta {
         self.vertices.push(NewVertex {
             vtype: vtype.to_string(),
             props,
-            ghost: false,
             ext: None,
         });
         VRef::New(self.vertices.len() - 1)
@@ -154,7 +146,6 @@ impl GraphDelta {
         self.vertices.push(NewVertex {
             vtype: vtype.to_string(),
             props,
-            ghost: false,
             ext: Some(ext),
         });
         VRef::New(self.vertices.len() - 1)
@@ -512,83 +503,6 @@ impl GraphDelta {
             .filter_map(|&v| remap.vertex(v))
             .collect();
     }
-
-    /// Splits this delta into one sub-delta per shard, for the
-    /// partitioned serving engine's writer:
-    ///
-    /// - **Vertex insertions are broadcast**: every sub-delta carries
-    ///   the full vertex list in order (so [`VRef::New`] indices — and,
-    ///   after apply, id slots — stay aligned across shards), marked
-    ///   ghost everywhere except on the shard `owner_new` names.
-    /// - **Edge insertions and edge retractions route to the shard
-    ///   owning the edge's source vertex** (`owner_existing` for base
-    ///   vertices, `owner_new` for vertices this delta adds), the
-    ///   shard that stores the edge. Original operation order is
-    ///   replayed per shard, preserving delete-then-reinsert semantics.
-    /// - **Vertex retractions are broadcast**: each shard cascades the
-    ///   removal to its locally stored incident edges; the union of
-    ///   those cascades is exactly the global cascade.
-    ///
-    /// Applying sub-delta `i` to shard `i` of a graph partitioned with
-    /// the same ownership is equivalent to applying `self` to the whole
-    /// graph and re-partitioning (asserted by tests).
-    pub fn split(
-        &self,
-        shards: usize,
-        owner_existing: &dyn Fn(VertexId) -> usize,
-        owner_new: &dyn Fn(usize) -> usize,
-    ) -> Vec<GraphDelta> {
-        let shards = shards.max(1);
-        let clamp = |s: usize| s.min(shards - 1);
-        let mut subs = vec![GraphDelta::new(); shards];
-        for (i, nv) in self.vertices.iter().enumerate() {
-            let owner = clamp(owner_new(i));
-            for (s, sub) in subs.iter_mut().enumerate() {
-                sub.vertices.push(NewVertex {
-                    ghost: nv.ghost || s != owner,
-                    ..nv.clone()
-                });
-            }
-        }
-        let owner_of = |r: VRef| {
-            clamp(match r {
-                VRef::Existing(v) => owner_existing(v),
-                VRef::New(i) => owner_new(i),
-                VRef::External(x) => panic!(
-                    "split requires a resolved delta, found external reference {x} \
-                     (call GraphDelta::resolve_external first)"
-                ),
-            })
-        };
-        // replay edge operations in their original interleaved order so
-        // each shard records retractions with the right pending window
-        let mut dels = self.del_edges.iter().peekable();
-        for j in 0..=self.edges.len() {
-            while dels.peek().is_some_and(|d| d.pending_seen <= j) {
-                let d = dels.next().unwrap();
-                let sub = &mut subs[owner_of(d.src)];
-                // surviving retractions matched no earlier pending
-                // insert globally, so they cannot match one in the
-                // (sub)sequence either — push directly, keeping the
-                // per-shard pending window
-                sub.del_edges.push(DelEdge {
-                    src: d.src,
-                    dst: d.dst,
-                    etype: d.etype.clone(),
-                    pending_seen: sub.edges.len(),
-                });
-            }
-            if let Some(e) = self.edges.get(j) {
-                subs[owner_of(e.src)].edges.push(e.clone());
-            }
-        }
-        for sub in &mut subs {
-            sub.del_vertices.extend(self.del_vertices.iter().copied());
-            sub.del_vertices_ext
-                .extend(self.del_vertices_ext.iter().copied());
-        }
-        subs
-    }
 }
 
 /// A structurally invalid [`GraphDelta`], reported by
@@ -760,60 +674,9 @@ pub struct AppliedDelta {
 /// [`GraphDelta::validate_against`] first.
 pub fn apply_delta(g: &Graph, delta: &GraphDelta) -> AppliedDelta {
     let mut ed = g.edit();
-    let staged = stage_delta(g, delta, &mut ed);
-    staged.into_applied(ed.finish(), g.clone())
-}
-
-/// The resolved ids of everything a staged delta touched — the first
-/// half of [`apply_delta`], before the editor freezes. Callers that
-/// freeze through a different path (the sharded coordinator assembles
-/// its global CSR from the shard CSRs instead of
-/// [`kaskade_graph::GraphEditor::finish`]) combine this with their own
-/// graph via [`StagedDelta::into_applied`].
-#[derive(Debug, Clone)]
-pub struct StagedDelta {
-    /// Ids of the newly inserted vertices, in delta order.
-    pub new_vertices: Vec<VertexId>,
-    /// Resolved `(src, dst)` endpoints of the newly inserted edges.
-    pub new_edges: Vec<(VertexId, VertexId)>,
-    /// Resolved `(src, dst)` endpoints of every retracted edge,
-    /// including edges cascaded from vertex retractions.
-    pub deleted_edges: Vec<(VertexId, VertexId)>,
-    /// Ids of the retracted vertices (those that were actually live).
-    pub deleted_vertices: Vec<VertexId>,
-}
-
-impl StagedDelta {
-    /// Pairs this staging record with the frozen `graph` it produced
-    /// (and the base it was staged over) into an [`AppliedDelta`].
-    pub fn into_applied(self, graph: Graph, base_old: Graph) -> AppliedDelta {
-        AppliedDelta {
-            graph,
-            base_old,
-            new_vertices: self.new_vertices,
-            new_edges: self.new_edges,
-            deleted_edges: self.deleted_edges,
-            deleted_vertices: self.deleted_vertices,
-        }
-    }
-}
-
-/// Stages `delta` onto an open editor over `g`: appends the new
-/// vertices and edges, tombstones retractions (LIFO edge matching,
-/// vertex cascades) — exactly the mutation half of [`apply_delta`],
-/// shared between it and the sharded merge publish. `ed` must be a
-/// fresh editor over `g`.
-///
-/// # Panics
-/// Same contract as [`apply_delta`].
-pub fn stage_delta(g: &Graph, delta: &GraphDelta, ed: &mut GraphEditor) -> StagedDelta {
     let mut new_vertices = Vec::with_capacity(delta.vertices.len());
     for nv in &delta.vertices {
-        let id = if nv.ghost {
-            ed.add_ghost_vertex(&nv.vtype)
-        } else {
-            ed.add_vertex(&nv.vtype)
-        };
+        let id = ed.add_vertex(&nv.vtype);
         for (k, val) in &nv.props {
             ed.set_vertex_prop(id, k, val.clone());
         }
@@ -866,7 +729,9 @@ pub fn stage_delta(g: &Graph, delta: &GraphDelta, ed: &mut GraphEditor) -> Stage
         deleted_edges.extend(removed.iter().map(|&(_, s, d)| (s, d)));
         deleted_vertices.push(v);
     }
-    StagedDelta {
+    AppliedDelta {
+        graph: ed.finish(),
+        base_old: g.clone(),
         new_vertices,
         new_edges,
         deleted_edges,
@@ -889,11 +754,6 @@ pub fn stat_changes(applied: &AppliedDelta) -> Vec<DegreeChange> {
     touched.extend(applied.deleted_vertices.iter().copied());
     touched
         .into_iter()
-        // ghosts never contribute to statistics: their degree is
-        // tracked on the shard that owns them (a ghost has no local
-        // out-edges — edges route to their source's owner), and the
-        // flag is immutable, so checking the new graph suffices
-        .filter(|&v| !applied.graph.is_vertex_ghost(v))
         .map(|v| {
             let before = (v.index() < old.vertex_slots() && old.is_vertex_live(v))
                 .then(|| old.out_degree(v));
@@ -965,9 +825,9 @@ fn affected_sources(def: &ConnectorDef, applied: &AppliedDelta) -> HashSet<Verte
 /// identical to re-materializing from scratch (asserted by tests), but
 /// touches only the neighborhood of the change. The expensive half —
 /// re-deriving the exact-`k` frontier of every affected source — fans
-/// out over `parts` worker threads, one per ownership partition of
-/// `part_of` (the sharded serving runtime passes its vertex
-/// partitioner); assembly stays serial and emits sources in sorted
+/// out over `parts` pool tasks, one per partition of `part_of` (which
+/// is handed the new base graph; a partitioned serving engine passes
+/// its vertex partitioner); assembly stays serial and emits sources in sorted
 /// order, so the result is **identical** for any partitioning (asserted
 /// by tests). Returns the refreshed view graph plus the number of
 /// sources whose frontier was recomputed.
@@ -975,7 +835,7 @@ pub(crate) fn connector_refresh(
     old_view: &Graph,
     applied: &AppliedDelta,
     def: &ConnectorDef,
-    part_of: &(dyn Fn(VertexId) -> usize + Sync),
+    part_of: &(dyn Fn(&Graph, VertexId) -> usize + Sync),
     parts: usize,
     exec: Option<&dyn ParallelExec>,
 ) -> (Graph, usize) {
@@ -996,7 +856,7 @@ pub(crate) fn connector_refresh(
     } else {
         let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); parts];
         for &u in &affected_sorted {
-            buckets[part_of(u).min(parts - 1)].push(u);
+            buckets[part_of(base_new, u).min(parts - 1)].push(u);
         }
         buckets.retain(|bucket| !bucket.is_empty());
         let exec = exec.unwrap_or(&SerialExec);
@@ -1101,14 +961,14 @@ mod tests {
     // The tests exercise the refresh engine through thin local wrappers
     // (the deprecated public shims would trip `-D warnings`).
     fn maintain_connector(old_view: &Graph, applied: &AppliedDelta, def: &ConnectorDef) -> Graph {
-        connector_refresh(old_view, applied, def, &|_| 0, 1, None).0
+        connector_refresh(old_view, applied, def, &|_, _| 0, 1, None).0
     }
 
     fn maintain_connector_partitioned(
         old_view: &Graph,
         applied: &AppliedDelta,
         def: &ConnectorDef,
-        part_of: &(dyn Fn(VertexId) -> usize + Sync),
+        part_of: &(dyn Fn(&Graph, VertexId) -> usize + Sync),
         parts: usize,
     ) -> Graph {
         connector_refresh(old_view, applied, def, part_of, parts, None).0
@@ -1707,78 +1567,6 @@ mod tests {
         assert_eq!(incremental.edge_count(), 1); // a -F-> c -F-> e only
     }
 
-    /// Canonical live-element picture of a (possibly sharded) graph:
-    /// per-vertex (id, type, ghost, props) and the live edge multiset.
-    #[allow(clippy::type_complexity)]
-    fn shard_fingerprint(g: &Graph) -> (Vec<(u32, String, bool, String)>, Vec<EdgePrint>) {
-        let vertices = g
-            .vertices()
-            .map(|v| {
-                (
-                    v.0,
-                    g.vertex_type(v).to_string(),
-                    g.is_vertex_ghost(v),
-                    format!("{:?}", g.vertex_props(v)),
-                )
-            })
-            .collect();
-        (vertices, edge_fingerprint(g))
-    }
-
-    #[test]
-    fn split_then_apply_equals_apply_then_shard() {
-        use kaskade_datasets::{generate_provenance, ProvenanceConfig};
-        let g = generate_provenance(&ProvenanceConfig::tiny(77).core_only());
-
-        // a delta exercising every operation kind: new vertices (with
-        // cross-referencing edges), an edge onto an existing vertex, an
-        // identity retraction, and a cascading vertex retraction
-        let mut d = GraphDelta::new();
-        let j = d.add_vertex("Job", vec![("CPU".into(), Value::Int(5))]);
-        let f = d.add_vertex("File", vec![]);
-        let first_file = g.vertices_of_type("File").next().unwrap();
-        d.add_edge(
-            VRef::Existing(first_file),
-            j,
-            "IS_READ_BY",
-            vec![("ts".into(), Value::Int(100))],
-        );
-        d.add_edge(j, f, "WRITES_TO", vec![("ts".into(), Value::Int(101))]);
-        let e = g.edges().next().unwrap();
-        d.del_edge(
-            VRef::Existing(g.edge_src(e)),
-            VRef::Existing(g.edge_dst(e)),
-            g.edge_type(e),
-        );
-        d.del_vertex(g.vertices_of_type("File").nth(1).unwrap());
-
-        let applied = apply_delta(&g, &d);
-        let slots = g.vertex_slots();
-        for shards in [1usize, 2, 3] {
-            let owner = |v: VertexId| (v.0 as usize) % shards;
-            let subs = d.split(shards, &owner, &|i| (slots + i) % shards);
-            assert_eq!(subs.len(), shards);
-            let mut merged_stats = Vec::new();
-            for (s, sub) in subs.iter().enumerate() {
-                let shard_before = g.shard(&|v| owner(v) == s);
-                let shard_after = apply_delta(&shard_before, sub).graph;
-                let expected = applied.graph.shard(&|v| owner(v) == s);
-                assert_eq!(
-                    shard_fingerprint(&shard_after),
-                    shard_fingerprint(&expected),
-                    "shard {s}/{shards}"
-                );
-                merged_stats.push(kaskade_graph::GraphStats::compute(&shard_after));
-            }
-            // per-shard stats merge exactly into the global stats
-            assert_eq!(
-                kaskade_graph::GraphStats::merge(merged_stats.iter()).unwrap(),
-                kaskade_graph::GraphStats::compute(&applied.graph),
-                "{shards} shards"
-            );
-        }
-    }
-
     #[test]
     fn partitioned_connector_maintenance_matches_serial() {
         use kaskade_datasets::{generate_provenance, ProvenanceConfig};
@@ -1804,7 +1592,7 @@ mod tests {
                 &view,
                 &applied,
                 &def,
-                &|v| (v.0 as usize) % parts,
+                &|_, v| (v.0 as usize) % parts,
                 parts,
             );
             assert_eq!(
@@ -1814,56 +1602,6 @@ mod tests {
             );
             assert_eq!(parallel.vertex_count(), serial.vertex_count());
         }
-    }
-
-    #[test]
-    fn split_routes_retraction_order_correctly() {
-        // delete-then-reinsert of the same identity must stay intact
-        // through a split: both ops route to the source's owner with
-        // the retraction ordered before the insert
-        let g = lineage_base();
-        let mut d = GraphDelta::new();
-        d.del_edge(
-            VRef::Existing(VertexId(0)),
-            VRef::Existing(VertexId(1)),
-            "WRITES_TO",
-        );
-        d.add_edge(
-            VRef::Existing(VertexId(0)),
-            VRef::Existing(VertexId(1)),
-            "WRITES_TO",
-            vec![("ts".into(), Value::Int(42))],
-        );
-        let subs = d.split(2, &|v| (v.0 as usize) % 2, &|_| 0);
-        // v0 is owned by shard 0: both operations land there, in order
-        assert_eq!(subs[0].del_edges.len(), 1);
-        assert_eq!(subs[0].edges.len(), 1);
-        assert_eq!(subs[0].del_edges[0].pending_seen, 0);
-        assert!(subs[1].del_edges.is_empty() && subs[1].edges.is_empty());
-        // applying the shard-0 sub-delta retracts the old edge and
-        // keeps the re-insert
-        let shard0 = g.shard(&|v| v.0 % 2 == 0);
-        let after = apply_delta(&shard0, &subs[0]).graph;
-        assert_eq!(after.edge_count(), 1);
-        let live = after.edges().next().unwrap();
-        assert_eq!(after.edge_prop(live, "ts"), Some(&Value::Int(42)));
-    }
-
-    #[test]
-    fn ghost_vertices_flow_through_deltas() {
-        let g = lineage_base().shard(&|v| v.0 == 0);
-        let mut d = GraphDelta::new();
-        d.vertices.push(NewVertex {
-            vtype: "File".into(),
-            props: vec![],
-            ghost: true,
-            ext: None,
-        });
-        let applied = apply_delta(&g, &d);
-        let nv = applied.new_vertices[0];
-        assert!(applied.graph.is_vertex_ghost(nv));
-        // ghost insertions leave statistics untouched
-        assert!(stat_changes(&applied).is_empty());
     }
 
     #[test]

@@ -101,15 +101,17 @@ fn decode_vref(d: &mut Dec<'_>) -> Result<VRef, CodecError> {
 
 impl GraphDelta {
     /// Appends the delta to `out` — the payload of a WAL `Batch`
-    /// record. Everything round-trips, including ghost flags, external
-    /// ids, and the retraction ordering windows (`pending_seen`), so a
+    /// record. Everything round-trips, including external ids and the
+    /// retraction ordering windows (`pending_seen`), so a
     /// replayed delta publishes the exact snapshot the original did.
     pub fn encode(&self, out: &mut Enc) {
         out.usize(self.vertices.len());
         for nv in &self.vertices {
             out.str(&nv.vtype);
             encode_props(&nv.props, out);
-            out.bool(nv.ghost);
+            // the retired per-vertex ghost byte, always false: the
+            // record layout keeps its slot so logs stay byte-identical
+            out.bool(false);
             match nv.ext {
                 Some(e) => {
                     out.bool(true);
@@ -149,14 +151,11 @@ impl GraphDelta {
         for _ in 0..nv {
             let vtype = d.str()?;
             let props = decode_props(d)?;
-            let ghost = d.bool()?;
+            if d.bool()? {
+                return Err(CodecError::Corrupt("ghost vertex flag set"));
+            }
             let ext = if d.bool()? { Some(d.u64()?) } else { None };
-            delta.vertices.push(NewVertex {
-                vtype,
-                props,
-                ghost,
-                ext,
-            });
+            delta.vertices.push(NewVertex { vtype, props, ext });
         }
         let ne = d.count()?;
         for _ in 0..ne {
@@ -510,6 +509,36 @@ mod tests {
         assert_eq!(
             back.del_edges[0].pending_seen,
             delta.del_edges[0].pending_seen
+        );
+    }
+
+    /// A one-vertex delta record built by hand, with `ghost` as the
+    /// vertex's ghost byte.
+    fn one_vertex_record(ghost: bool) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.usize(1); // vertices
+        e.str("Job");
+        e.usize(0); // props
+        e.bool(ghost);
+        e.bool(false); // no external id
+        for _ in 0..4 {
+            e.usize(0); // edges, edge retractions, vertex retractions (slot, external)
+        }
+        e.into_bytes()
+    }
+
+    #[test]
+    fn delta_ghost_byte_is_written_false_and_rejected_when_set() {
+        let mut d = GraphDelta::new();
+        d.add_vertex("Job", vec![]);
+        let mut e = Enc::new();
+        d.encode(&mut e);
+        assert_eq!(e.into_bytes(), one_vertex_record(false));
+        let back = GraphDelta::decode(&mut Dec::new(&one_vertex_record(false))).unwrap();
+        assert_eq!(back, d);
+        assert_eq!(
+            GraphDelta::decode(&mut Dec::new(&one_vertex_record(true))).unwrap_err(),
+            CodecError::Corrupt("ghost vertex flag set")
         );
     }
 

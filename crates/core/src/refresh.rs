@@ -26,9 +26,11 @@
 //!
 //! [`RefreshDag`] topo-sorts the catalog by input dependencies (base
 //! graph or another view) into an [`RefreshDag::execution_order`] of
-//! parallelizable levels; [`RefreshDag::refresh`] runs each level on a
-//! scoped worker pool. The serving writer and the sharded coordinator
-//! both publish through this path.
+//! parallelizable levels; [`RefreshDag::refresh`] runs each level on
+//! the caller's [`ParallelExec`] (the serving engine's worker pool).
+//! The serving writer publishes every batch through this path, with
+//! connector frontier work split by its vertex partitioner when it has
+//! more than one partition.
 //!
 //! Every refresh is validated against a scratch-rebuild oracle: the
 //! refreshed graph must match `materialize(new_base, def)` — vertices
@@ -81,12 +83,14 @@ pub struct Refreshed {
 }
 
 /// Partitioned execution context for connector refresh: a partitioned
-/// serving engine passes its vertex partitioner so each shard's worker
-/// recomputes exactly the view edges that shard owns.
+/// serving engine passes its vertex partitioner so connector frontier
+/// work splits into one pool task per partition. Any split gives the
+/// same refreshed view.
 #[derive(Clone, Copy)]
 pub struct Partition<'a> {
-    /// Maps a base vertex to its owning partition.
-    pub part_of: &'a (dyn Fn(VertexId) -> usize + Sync),
+    /// Maps a vertex of the new base graph (passed first) to its
+    /// partition.
+    pub part_of: &'a (dyn Fn(&Graph, VertexId) -> usize + Sync),
     /// Number of partitions (worker threads).
     pub parts: usize,
 }
@@ -175,12 +179,12 @@ impl ViewMaintainer for ConnectorMaintainer<'_> {
     }
 
     fn refresh(&self, old_view: &Graph, applied: &AppliedDelta) -> Refreshed {
-        let (part_of, parts): (&(dyn Fn(VertexId) -> usize + Sync), usize) = match self.partition {
-            Some(p) => (p.part_of, p.parts),
-            None => (&|_| 0, 1),
+        let (graph, recomputed) = match self.partition {
+            Some(p) => {
+                connector_refresh(old_view, applied, self.def, p.part_of, p.parts, self.exec)
+            }
+            None => connector_refresh(old_view, applied, self.def, &|_, _| 0, 1, self.exec),
         };
-        let (graph, recomputed) =
-            connector_refresh(old_view, applied, self.def, part_of, parts, self.exec);
         // the vertex set changes whenever a target-type vertex is born
         // or dies, even with no affected source
         let touches_types = applied.new_vertices.iter().any(|&v| {
@@ -758,8 +762,8 @@ pub struct RefreshReport {
 /// level 1:      [composed: summarizer over connector]
 /// ```
 ///
-/// [`RefreshDag::refresh`] runs every view of a level concurrently on a
-/// scoped worker pool, then feeds refreshed graphs (and their
+/// [`RefreshDag::refresh`] runs every view of a level concurrently on
+/// the caller's [`ParallelExec`], then feeds refreshed graphs (and their
 /// [`ViewDelta`]s) to the next level.
 #[derive(Debug, Clone)]
 pub struct RefreshDag {

@@ -54,11 +54,9 @@ impl Snapshot {
 
     /// Assembles a snapshot from pre-built parts, trusting the caller
     /// that `stats` describe `graph` and every catalog entry is a
-    /// faithful materialization over it. This is the publish primitive
-    /// of the sharded serving runtime (`kaskade-service`), whose
-    /// coordinator maintains the global graph, merges per-shard
-    /// statistics, and refreshes views in parallel before assembling
-    /// the snapshot readers see — `snapshot_is_consistent` still
+    /// faithful materialization over it (checkpoint decoding, and
+    /// callers that run the apply, refresh and statistics steps
+    /// themselves) — `snapshot_is_consistent` in `kaskade-service`
     /// verifies the trust at the oracle level.
     pub fn assemble(graph: Graph, schema: Schema, stats: GraphStats, catalog: Catalog) -> Self {
         Snapshot {
@@ -197,14 +195,11 @@ impl Snapshot {
         let dag = RefreshDag::build(&self.catalog);
         let (catalog, report) = dag.refresh(&self.catalog, &applied, opts);
         let changes = maintain::stat_changes(&applied);
-        // owned count: on a shard of a partitioned graph, statistics
-        // track only the vertices this shard owns (equals vertex_count
-        // on unpartitioned graphs)
         let stats = self
             .stats
             .with_changes(
                 &changes,
-                applied.graph.owned_vertex_count(),
+                applied.graph.vertex_count(),
                 applied.graph.edge_count(),
             )
             .unwrap_or_else(|| GraphStats::compute(&applied.graph));
@@ -276,20 +271,6 @@ impl Snapshot {
             },
             remap,
         )
-    }
-
-    /// [`Snapshot::compact`] with an externally supplied remap — the
-    /// coordinated form for the shards of a partitioned graph, which
-    /// must all apply the remap computed from the global graph so
-    /// shard-local ids stay equal to global ids (see
-    /// [`Graph::compact_with`]).
-    pub fn compact_with(&self, remap: &IdRemap) -> Snapshot {
-        Snapshot {
-            graph: self.graph.compact_with(remap),
-            schema: self.schema.clone(),
-            stats: self.stats.clone(),
-            catalog: self.catalog.clone(),
-        }
     }
 }
 

@@ -14,14 +14,10 @@
 //!
 //! Compaction is **observationally invisible** apart from the ids
 //! themselves: live vertices and edges keep their types, properties,
-//! ghost flags, adjacency, and relative order (so identity-targeted
-//! LIFO retraction picks the same edge before and after), and
-//! [`crate::GraphStats`] of the compacted graph are exactly equal to
-//! the original's (proptest-enforced in `tests/properties.rs`).
-//! Coordinated deployments — the shards of a partitioned graph, which
-//! must keep their id spaces aligned — compute one remap from the
-//! authoritative copy and apply it everywhere with
-//! [`Graph::compact_with`].
+//! adjacency, and relative order (so identity-targeted LIFO retraction
+//! picks the same edge before and after), and [`crate::GraphStats`] of
+//! the compacted graph are exactly equal to the original's
+//! (proptest-enforced in `tests/properties.rs`).
 
 use crate::graph::{EdgeId, Graph, GraphInner, VertexId};
 
@@ -86,7 +82,7 @@ impl Graph {
     /// Drops every dead vertex and edge slot, renumbering the live
     /// survivors densely (relative order preserved), and returns the
     /// compacted graph plus the old→new [`IdRemap`]. Live elements
-    /// keep their types, properties, ghost flags, and adjacency;
+    /// keep their types, properties, and adjacency;
     /// statistics are exactly preserved. With nothing dead this is a
     /// plain copy and the remap [`is an identity`](IdRemap::is_identity)
     /// — callers gate on a dead-slot policy rather than calling this
@@ -110,20 +106,13 @@ impl Graph {
         (g, remap)
     }
 
-    /// [`Graph::compact`] with an externally supplied vertex remap —
-    /// the coordinated form used across the shards of a partitioned
-    /// graph, where every shard must apply the **same** remap (taken
-    /// from the authoritative global graph) so shard-local ids stay
-    /// equal to global ids. Dead *edge* slots are always dropped
-    /// locally (edge ids are graph-local and nothing outside a graph
-    /// refers to them).
+    /// Rebuilds this graph through the vertex `remap` (dead edge slots
+    /// are always dropped).
     ///
     /// # Panics
     /// Panics if the remap does not cover this graph: a live vertex
-    /// maps to `None`, or the slot counts disagree. For shards this
-    /// holds by construction — vertex liveness is broadcast, so every
-    /// shard agrees with the global graph on which slots are dead.
-    pub fn compact_with(&self, remap: &IdRemap) -> Graph {
+    /// maps to `None`, or the slot counts disagree.
+    fn compact_with(&self, remap: &IdRemap) -> Graph {
         let inner = &*self.inner;
         let old_n = inner.vtypes.len();
         assert_eq!(
@@ -135,8 +124,6 @@ impl Graph {
 
         let mut vtypes = Vec::with_capacity(n);
         let mut vprops = Vec::with_capacity(n);
-        let mut vghost = Vec::with_capacity(n);
-        let mut any_ghost = false;
         for i in 0..old_n {
             match remap.vertex(VertexId(i as u32)) {
                 Some(nv) => {
@@ -148,9 +135,6 @@ impl Graph {
                     assert_eq!(nv.index(), vtypes.len(), "remap is not order-preserving");
                     vtypes.push(inner.vtypes[i]);
                     vprops.push(inner.vprops[i].clone());
-                    let ghost = inner.vertex_is_ghost(i);
-                    vghost.push(ghost);
-                    any_ghost |= ghost;
                 }
                 None => assert!(
                     !inner.vertex_is_live(i),
@@ -209,7 +193,6 @@ impl Graph {
         crate::scratch::give_u32(out_cursor);
         crate::scratch::give_u32(in_cursor);
 
-        let live_owned = vghost.iter().filter(|&&g| !g).count();
         Graph {
             inner: std::sync::Arc::new(GraphInner {
                 interner: inner.interner.clone(),
@@ -220,10 +203,8 @@ impl Graph {
                 etypes,
                 eprops,
                 vertex_dead: Vec::new(),
-                vertex_ghost: if any_ghost { vghost } else { Vec::new() },
                 edge_dead: Vec::new(),
                 live_vertices: n,
-                live_owned,
                 live_edges: m,
                 out_offsets,
                 out_edges,
@@ -341,41 +322,6 @@ mod tests {
         // matter how many remaps a reference is chained through
         assert_eq!(remap.vertex(VertexId(u32::MAX)), None);
         drop(c);
-    }
-
-    #[test]
-    fn compact_with_shared_remap_keeps_shards_aligned() {
-        // a global graph and its two shards compact with the same remap
-        let g = toy().remove_vertices([VertexId(1)]);
-        let owner = |v: VertexId| v.0 % 2;
-        let shards: Vec<Graph> = (0..2).map(|s| g.shard(&|v| owner(v) == s)).collect();
-        let (cg, remap) = g.compact();
-        for (s, shard) in shards.iter().enumerate() {
-            let cs = shard.compact_with(&remap);
-            assert_eq!(cs.vertex_slots(), cg.vertex_slots(), "shard {s}");
-            // every surviving slot agrees with the global graph on type
-            for v in cg.vertices() {
-                assert_eq!(cs.vertex_type(v), cg.vertex_type(v), "shard {s}");
-            }
-            // ghost flags follow their slots
-            for v in cs.vertices() {
-                let old = VertexId(
-                    (0..remap.old_slots() as u32)
-                        .find(|&i| remap.vertex(VertexId(i)) == Some(v))
-                        .unwrap(),
-                );
-                assert_eq!(cs.is_vertex_ghost(v), shard.is_vertex_ghost(old));
-            }
-        }
-        // per-shard stats still merge exactly into the global stats
-        let parts: Vec<GraphStats> = shards
-            .iter()
-            .map(|s| GraphStats::compute(&s.compact_with(&remap)))
-            .collect();
-        assert_eq!(
-            GraphStats::merge(parts.iter()).unwrap(),
-            GraphStats::compute(&cg)
-        );
     }
 
     #[test]

@@ -40,22 +40,16 @@ use crate::value::{PropMap, Value};
 /// ```
 #[derive(Debug)]
 pub struct GraphEditor {
-    // Fields are crate-visible so the merged-publish path
-    // (`crate::merge`) can stage edits through the same structure and
-    // freeze them with a *parallel* CSR assembly instead of
-    // [`GraphEditor::finish`]'s serial counting sort.
-    pub(crate) base: Graph,
-    pub(crate) vtypes: Vec<crate::interner::Symbol>,
-    pub(crate) vprops: Vec<PropMap>,
-    pub(crate) srcs: Vec<VertexId>,
-    pub(crate) dsts: Vec<VertexId>,
-    pub(crate) etypes: Vec<crate::interner::Symbol>,
-    pub(crate) eprops: Vec<PropMap>,
-    pub(crate) vertex_dead: Vec<bool>,
-    pub(crate) vertex_ghost: Vec<bool>,
-    pub(crate) any_ghost: bool,
-    pub(crate) edge_dead: Vec<bool>,
-    pub(crate) interner: crate::interner::Interner,
+    base: Graph,
+    vtypes: Vec<crate::interner::Symbol>,
+    vprops: Vec<PropMap>,
+    srcs: Vec<VertexId>,
+    dsts: Vec<VertexId>,
+    etypes: Vec<crate::interner::Symbol>,
+    eprops: Vec<PropMap>,
+    vertex_dead: Vec<bool>,
+    edge_dead: Vec<bool>,
+    interner: crate::interner::Interner,
 }
 
 impl Graph {
@@ -66,9 +60,6 @@ impl Graph {
         let m = inner.srcs.len();
         let mut vertex_dead = inner.vertex_dead.clone();
         vertex_dead.resize(n, false);
-        let any_ghost = !inner.vertex_ghost.is_empty();
-        let mut vertex_ghost = inner.vertex_ghost.clone();
-        vertex_ghost.resize(n, false);
         let mut edge_dead = inner.edge_dead.clone();
         edge_dead.resize(m, false);
         GraphEditor {
@@ -80,8 +71,6 @@ impl Graph {
             etypes: inner.etypes.clone(),
             eprops: inner.eprops.clone(),
             vertex_dead,
-            vertex_ghost,
-            any_ghost,
             edge_dead,
             interner: inner.interner.clone(),
         }
@@ -121,17 +110,6 @@ impl GraphEditor {
         self.vtypes.push(t);
         self.vprops.push(PropMap::new());
         self.vertex_dead.push(false);
-        self.vertex_ghost.push(false);
-        id
-    }
-
-    /// Appends a **ghost** vertex (a replica owned by another shard of a
-    /// partitioned graph; see [`Graph::shard`]). Ghosts keep shard-local
-    /// ids aligned with global ids but are excluded from statistics.
-    pub fn add_ghost_vertex(&mut self, vtype: &str) -> VertexId {
-        let id = self.add_vertex(vtype);
-        self.vertex_ghost[id.index()] = true;
-        self.any_ghost = true;
         id
     }
 
@@ -283,9 +261,6 @@ impl GraphEditor {
         crate::scratch::give_u32(out_cursor);
         crate::scratch::give_u32(in_cursor);
         let live_vertices = n - self.vertex_dead.iter().filter(|&&d| d).count();
-        let live_owned = (0..n)
-            .filter(|&i| !self.vertex_dead[i] && !self.vertex_ghost[i])
-            .count();
 
         Graph {
             inner: std::sync::Arc::new(GraphInner {
@@ -301,18 +276,12 @@ impl GraphEditor {
                 } else {
                     Vec::new()
                 },
-                vertex_ghost: if self.any_ghost {
-                    self.vertex_ghost
-                } else {
-                    Vec::new()
-                },
                 edge_dead: if any_edge_dead {
                     self.edge_dead
                 } else {
                     Vec::new()
                 },
                 live_vertices,
-                live_owned,
                 live_edges,
                 out_offsets,
                 out_edges,
@@ -438,23 +407,6 @@ mod tests {
         let mut ed = g.edit();
         ed.remove_vertex(VertexId(2));
         ed.add_edge(VertexId(0), VertexId(2), "WRITES_TO");
-    }
-
-    #[test]
-    fn editor_preserves_and_adds_ghosts() {
-        let g = toy().shard(&|v| v.0 == 0); // only j0 owned
-        let mut ed = g.edit();
-        let owned = ed.add_vertex("Job");
-        let ghost = ed.add_ghost_vertex("File");
-        ed.add_edge(owned, ghost, "WRITES_TO");
-        let g2 = ed.finish();
-        // pre-existing ghost flags carried through the edit
-        assert!(g2.is_vertex_ghost(VertexId(1)));
-        assert!(!g2.is_vertex_ghost(VertexId(0)));
-        // staged vertices get the requested ghostliness
-        assert!(!g2.is_vertex_ghost(owned));
-        assert!(g2.is_vertex_ghost(ghost));
-        assert_eq!(g2.owned_vertex_count(), 2); // j0 + the new Job
     }
 
     #[test]

@@ -61,8 +61,6 @@ pub struct GraphBuilder {
     interner: Interner,
     vtypes: Vec<Symbol>,
     vprops: Vec<PropMap>,
-    vghost: Vec<bool>,
-    any_ghost: bool,
     srcs: Vec<VertexId>,
     dsts: Vec<VertexId>,
     etypes: Vec<Symbol>,
@@ -93,21 +91,6 @@ impl GraphBuilder {
         let id = VertexId(self.vtypes.len() as u32);
         self.vtypes.push(t);
         self.vprops.push(PropMap::new());
-        self.vghost.push(false);
-        id
-    }
-
-    /// Adds a **ghost** vertex: a replica of a vertex whose owner is
-    /// another shard of a partitioned graph. Ghosts occupy an id slot
-    /// (keeping shard-local ids aligned with global ids) and carry type
-    /// and properties like any vertex, but are skipped by statistics
-    /// ([`crate::GraphStats::compute`]) so a vertex replicated across
-    /// shards is counted exactly once — on its owner. See
-    /// [`Graph::shard`].
-    pub fn add_ghost_vertex(&mut self, vtype: &str) -> VertexId {
-        let id = self.add_vertex(vtype);
-        self.vghost[id.index()] = true;
-        self.any_ghost = true;
         id
     }
 
@@ -186,7 +169,6 @@ impl GraphBuilder {
             in_cursor[d] += 1;
         }
 
-        let owned_vertices = n - self.vghost.iter().filter(|&&g| g).count();
         Graph {
             inner: std::sync::Arc::new(GraphInner {
                 interner: self.interner,
@@ -197,14 +179,8 @@ impl GraphBuilder {
                 etypes: self.etypes,
                 eprops: self.eprops,
                 vertex_dead: Vec::new(),
-                vertex_ghost: if self.any_ghost {
-                    self.vghost
-                } else {
-                    Vec::new()
-                },
                 edge_dead: Vec::new(),
                 live_vertices: n,
-                live_owned: owned_vertices,
                 live_edges: m,
                 out_offsets,
                 out_edges,
@@ -250,16 +226,8 @@ pub(crate) struct GraphInner {
     pub(crate) etypes: Vec<Symbol>,
     pub(crate) eprops: Vec<PropMap>,
     pub(crate) vertex_dead: Vec<bool>,
-    /// Ghost flags (empty = no ghosts): a ghost is a shard-local
-    /// replica of a vertex owned by another shard. Ghosts behave like
-    /// regular vertices everywhere except statistics, which count only
-    /// owned vertices so per-shard stats merge exactly into global
-    /// stats. The flag is immutable for the life of the slot.
-    pub(crate) vertex_ghost: Vec<bool>,
     pub(crate) edge_dead: Vec<bool>,
     pub(crate) live_vertices: usize,
-    /// Live vertices that are not ghosts.
-    pub(crate) live_owned: usize,
     pub(crate) live_edges: usize,
     pub(crate) out_offsets: Vec<u32>,
     pub(crate) out_edges: Vec<EdgeId>,
@@ -276,11 +244,6 @@ impl GraphInner {
     #[inline]
     pub(crate) fn edge_is_live(&self, i: usize) -> bool {
         self.edge_dead.is_empty() || !self.edge_dead[i]
-    }
-
-    #[inline]
-    pub(crate) fn vertex_is_ghost(&self, i: usize) -> bool {
-        !self.vertex_ghost.is_empty() && self.vertex_ghost[i]
     }
 }
 
@@ -325,107 +288,11 @@ impl Graph {
         e.index() < self.inner.srcs.len() && self.inner.edge_is_live(e.index())
     }
 
-    /// Whether `v` is a **ghost**: a shard-local replica of a vertex
-    /// owned by another shard (see [`Graph::shard`]). Always `false`
-    /// on unpartitioned graphs.
-    #[inline]
-    pub fn is_vertex_ghost(&self, v: VertexId) -> bool {
-        v.index() < self.inner.vtypes.len() && self.inner.vertex_is_ghost(v.index())
-    }
-
-    /// Number of live **owned** (non-ghost) vertices. Equal to
-    /// [`Graph::vertex_count`] on unpartitioned graphs; on a shard,
-    /// this is the shard's share of the global vertex count —
-    /// per-shard statistics use it so shard stats merge exactly into
-    /// global stats.
+    /// Kept for callers written against partitioned graphs: every
+    /// vertex is owned, so this equals [`Graph::vertex_count`].
     #[inline]
     pub fn owned_vertex_count(&self) -> usize {
-        self.inner.live_owned
-    }
-
-    /// Extracts one shard of this graph under the given ownership
-    /// predicate: **every vertex slot is retained** with its id, type,
-    /// properties, and liveness (so shard-local ids equal global ids and
-    /// deltas route without translation), but non-owned slots are marked
-    /// ghost; **edges are partitioned** — the shard keeps exactly the
-    /// live edges whose *source* vertex it owns (so each edge lives on
-    /// one shard and cross-shard edges point at ghost endpoints).
-    /// Relative edge order is preserved, which keeps identity-targeted
-    /// LIFO retraction agreeing with the unsharded graph.
-    pub fn shard(&self, owned: &dyn Fn(VertexId) -> bool) -> Graph {
-        let inner = &*self.inner;
-        let n = inner.vtypes.len();
-        let mut vertex_ghost = vec![false; n];
-        let mut any_ghost = false;
-        let mut live_owned = 0usize;
-        for (i, ghost) in vertex_ghost.iter_mut().enumerate() {
-            if owned(VertexId(i as u32)) {
-                if inner.vertex_is_live(i) {
-                    live_owned += 1;
-                }
-            } else {
-                *ghost = true;
-                any_ghost = true;
-            }
-        }
-        let mut srcs = Vec::new();
-        let mut dsts = Vec::new();
-        let mut etypes = Vec::new();
-        let mut eprops = Vec::new();
-        for e in self.edges() {
-            let s = inner.srcs[e.index()];
-            if vertex_ghost[s.index()] {
-                continue;
-            }
-            srcs.push(s);
-            dsts.push(inner.dsts[e.index()]);
-            etypes.push(inner.etypes[e.index()]);
-            eprops.push(inner.eprops[e.index()].clone());
-        }
-        let m = srcs.len();
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for i in 0..m {
-            out_offsets[srcs[i].index() + 1] += 1;
-            in_offsets[dsts[i].index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut out_edges = vec![EdgeId(0); m];
-        let mut in_edges = vec![EdgeId(0); m];
-        let mut out_cursor = out_offsets.clone();
-        let mut in_cursor = in_offsets.clone();
-        for i in 0..m {
-            let s = srcs[i].index();
-            let d = dsts[i].index();
-            out_edges[out_cursor[s] as usize] = EdgeId(i as u32);
-            out_cursor[s] += 1;
-            in_edges[in_cursor[d] as usize] = EdgeId(i as u32);
-            in_cursor[d] += 1;
-        }
-        Graph {
-            inner: std::sync::Arc::new(GraphInner {
-                interner: inner.interner.clone(),
-                vtypes: inner.vtypes.clone(),
-                vprops: inner.vprops.clone(),
-                srcs,
-                dsts,
-                etypes,
-                eprops,
-                vertex_dead: inner.vertex_dead.clone(),
-                vertex_ghost: if any_ghost { vertex_ghost } else { Vec::new() },
-                edge_dead: Vec::new(),
-                live_vertices: inner.live_vertices,
-                live_owned,
-                live_edges: m,
-                out_offsets,
-                out_edges,
-                in_offsets,
-                in_edges,
-            }),
-        }
+        self.inner.live_vertices
     }
 
     /// Iterator over all live vertex ids.
@@ -652,6 +519,89 @@ impl Graph {
     }
 }
 
+/// Structural-identity oracle for differential tests: `Ok(())` iff the
+/// two graphs are the same dense representation — equal slot layouts,
+/// liveness, types and properties (interned symbols
+/// resolved through each graph's own interner), endpoints, and CSR
+/// adjacency arrays. On mismatch returns a description of the first
+/// divergence.
+pub fn same_dense_graph(a: &Graph, b: &Graph) -> Result<(), String> {
+    fn fail(what: &str, detail: impl std::fmt::Display) -> Result<(), String> {
+        Err(format!("{what}: {detail}"))
+    }
+    let (ia, ib) = (&*a.inner, &*b.inner);
+    if ia.vtypes.len() != ib.vtypes.len() {
+        return fail(
+            "vertex slots",
+            format_args!("{} vs {}", ia.vtypes.len(), ib.vtypes.len()),
+        );
+    }
+    if ia.srcs.len() != ib.srcs.len() {
+        return fail(
+            "edge slots",
+            format_args!("{} vs {}", ia.srcs.len(), ib.srcs.len()),
+        );
+    }
+    if (ia.live_vertices, ia.live_edges) != (ib.live_vertices, ib.live_edges) {
+        return fail(
+            "live counts",
+            format_args!(
+                "({}, {}) vs ({}, {})",
+                ia.live_vertices, ia.live_edges, ib.live_vertices, ib.live_edges
+            ),
+        );
+    }
+    let resolved = |g: &Graph, props: &PropMap| -> Vec<(String, Value)> {
+        props
+            .iter()
+            .map(|(k, v)| (g.resolve(k).to_string(), v.clone()))
+            .collect()
+    };
+    for i in 0..ia.vtypes.len() {
+        let v = VertexId(i as u32);
+        if a.is_vertex_live(v) != b.is_vertex_live(v) {
+            return fail("vertex liveness", v);
+        }
+        if a.vertex_type(v) != b.vertex_type(v) {
+            return fail(
+                "vertex type",
+                format_args!("{v}: {} vs {}", a.vertex_type(v), b.vertex_type(v)),
+            );
+        }
+        if resolved(a, &ia.vprops[i]) != resolved(b, &ib.vprops[i]) {
+            return fail("vertex props", v);
+        }
+    }
+    for i in 0..ia.srcs.len() {
+        let e = EdgeId(i as u32);
+        if a.is_edge_live(e) != b.is_edge_live(e) {
+            return fail("edge liveness", e.0);
+        }
+        if (ia.srcs[i], ia.dsts[i]) != (ib.srcs[i], ib.dsts[i]) {
+            return fail(
+                "edge endpoints",
+                format_args!(
+                    "e{}: {}->{} vs {}->{}",
+                    i, ia.srcs[i], ia.dsts[i], ib.srcs[i], ib.dsts[i]
+                ),
+            );
+        }
+        if a.edge_type(e) != b.edge_type(e) {
+            return fail("edge type", i);
+        }
+        if resolved(a, &ia.eprops[i]) != resolved(b, &ib.eprops[i]) {
+            return fail("edge props", i);
+        }
+    }
+    if ia.out_offsets != ib.out_offsets || ia.in_offsets != ib.in_offsets {
+        return fail("CSR offsets", "out/in offset arrays differ");
+    }
+    if ia.out_edges != ib.out_edges || ia.in_edges != ib.in_edges {
+        return fail("CSR adjacency", "out/in edge arrays differ");
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -781,62 +731,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_partitions_edges_by_source_owner() {
-        let g = lineage_toy(); // 5 vertices, 4 edges
-        let owner = |v: VertexId| v.0 % 2; // shard 0: v0,v2,v4; shard 1: v1,v3
-        let s0 = g.shard(&|v| owner(v) == 0);
-        let s1 = g.shard(&|v| owner(v) == 1);
-        // every slot retained on every shard, ids aligned
-        for s in [&s0, &s1] {
-            assert_eq!(s.vertex_slots(), g.vertex_slots());
-            assert_eq!(s.vertex_count(), g.vertex_count());
-            for v in g.vertices() {
-                assert_eq!(s.vertex_type(v), g.vertex_type(v));
-            }
-        }
-        // ghosts are exactly the non-owned slots
-        assert!(!s0.is_vertex_ghost(VertexId(0)));
-        assert!(s0.is_vertex_ghost(VertexId(1)));
-        assert!(s1.is_vertex_ghost(VertexId(0)));
-        assert_eq!(s0.owned_vertex_count(), 3);
-        assert_eq!(s1.owned_vertex_count(), 2);
-        // edges partition by source owner: j1(v0) owns both WRITES_TO
-        // edges; f1(v1)/f2(v3) own the IS_READ_BY edges
-        assert_eq!(s0.edge_count(), 2);
-        assert_eq!(s1.edge_count(), 2);
-        assert_eq!(s0.edge_count() + s1.edge_count(), g.edge_count());
-        assert!(s0.edges().all(|e| owner(s0.edge_src(e)) == 0));
-        assert!(s1.edges().all(|e| owner(s1.edge_src(e)) == 1));
-        // cross-shard edges end on ghosts
-        assert!(s0.edges().all(|e| s0.is_vertex_ghost(s0.edge_dst(e))));
-        // the unpartitioned graph has no ghosts
-        assert!(g.vertices().all(|v| !g.is_vertex_ghost(v)));
-        assert_eq!(g.owned_vertex_count(), g.vertex_count());
-    }
-
-    #[test]
-    fn shard_preserves_tombstones() {
-        let g = lineage_toy().remove_vertices([VertexId(2)]);
-        let s = g.shard(&|v| v.0 % 2 == 0);
-        assert!(!s.is_vertex_live(VertexId(2)));
-        assert_eq!(s.vertex_count(), g.vertex_count());
-        // v2 was owned by this shard but dead: not counted as owned
-        assert_eq!(s.owned_vertex_count(), 2); // v0, v4
-    }
-
-    #[test]
-    fn ghost_vertices_via_builder() {
-        let mut b = GraphBuilder::new();
-        let j = b.add_vertex("Job");
-        let f = b.add_ghost_vertex("File");
-        b.add_edge(j, f, "WRITES_TO");
-        let g = b.finish();
-        assert!(!g.is_vertex_ghost(j));
-        assert!(g.is_vertex_ghost(f));
-        assert_eq!(g.vertex_count(), 2);
-        assert_eq!(g.owned_vertex_count(), 1);
-        // ghosts still match patterns / carry type info
-        assert_eq!(g.vertices_of_type("File").count(), 1);
+    fn same_dense_graph_detects_divergence() {
+        let g = lineage_toy();
+        assert!(same_dense_graph(&g, &g).is_ok());
+        let other = g.remove_edges([EdgeId(0)]);
+        assert!(same_dense_graph(&g, &other).is_err());
     }
 
     #[test]

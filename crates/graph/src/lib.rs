@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod codec;
 mod compact;
@@ -40,7 +41,6 @@ mod exec;
 mod extid;
 mod graph;
 mod interner;
-mod merge;
 mod persist;
 mod schema;
 mod scratch;
@@ -50,11 +50,10 @@ mod value;
 pub use codec::{crc32, CodecError, Dec, Enc};
 pub use compact::IdRemap;
 pub use edit::GraphEditor;
-pub use exec::{chunk_ranges, ParallelExec, SerialExec};
+pub use exec::{ParallelExec, SerialExec};
 pub use extid::{ExternalIdError, ExternalIdTable};
-pub use graph::{EdgeId, Graph, GraphBuilder, VertexId};
+pub use graph::{same_dense_graph, EdgeId, Graph, GraphBuilder, VertexId};
 pub use interner::{Interner, Symbol};
-pub use merge::same_dense_graph;
 pub use persist::{decode_value, encode_value};
 pub use schema::{EdgeRule, Schema, SchemaError};
 pub use stats::{

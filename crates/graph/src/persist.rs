@@ -109,7 +109,9 @@ impl Graph {
             encode_props(p, out);
         }
         encode_flags(&inner.vertex_dead, out);
-        encode_flags(&inner.vertex_ghost, out);
+        // the retired per-vertex ghost column, always empty: the format
+        // keeps its slot so checkpoints stay byte-identical
+        encode_flags(&[], out);
         let m = inner.srcs.len();
         out.usize(m);
         for i in 0..m {
@@ -151,7 +153,9 @@ impl Graph {
             vprops.push(decode_props(d, nsyms)?);
         }
         let vertex_dead = decode_flags(d, n)?;
-        let vertex_ghost = decode_flags(d, n)?;
+        if decode_flags(d, n)?.contains(&true) {
+            return Err(CodecError::Corrupt("ghost vertex flag set"));
+        }
 
         let m = d.count()?;
         let mut srcs = Vec::with_capacity(m);
@@ -179,7 +183,6 @@ impl Graph {
 
         let edge_is_live = |i: usize| edge_dead.is_empty() || !edge_dead[i];
         let vertex_is_live = |i: usize| vertex_dead.is_empty() || !vertex_dead[i];
-        let is_ghost = |i: usize| !vertex_ghost.is_empty() && vertex_ghost[i];
 
         // The exact CSR build of `GraphEditor::finish`: stable counting
         // sort of live edges by source (out) and by destination (in).
@@ -218,12 +221,8 @@ impl Graph {
         crate::scratch::give_u32(in_cursor);
 
         let live_vertices = (0..n).filter(|&i| vertex_is_live(i)).count();
-        let live_owned = (0..n)
-            .filter(|&i| vertex_is_live(i) && !is_ghost(i))
-            .count();
         let any_vertex_dead = vertex_dead.iter().any(|&x| x);
         let any_edge_dead = edge_dead.iter().any(|&x| x);
-        let any_ghost = vertex_ghost.iter().any(|&x| x);
 
         Ok(Graph {
             inner: std::sync::Arc::new(GraphInner {
@@ -239,10 +238,8 @@ impl Graph {
                 } else {
                     Vec::new()
                 },
-                vertex_ghost: if any_ghost { vertex_ghost } else { Vec::new() },
                 edge_dead: if any_edge_dead { edge_dead } else { Vec::new() },
                 live_vertices,
-                live_owned,
                 live_edges,
                 out_offsets,
                 out_edges,
@@ -256,8 +253,8 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::same_dense_graph;
     use crate::graph::GraphBuilder;
-    use crate::merge::same_dense_graph;
     use crate::stats::GraphStats;
 
     fn toy() -> Graph {
@@ -319,15 +316,35 @@ mod tests {
         assert_eq!(GraphStats::compute(&g), GraphStats::compute(&back));
     }
 
+    /// A one-vertex record built by hand, with `ghost` as its
+    /// per-vertex ghost column.
+    fn one_job_record(ghost: &[bool]) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.usize(1);
+        e.str("Job");
+        e.usize(1);
+        e.u32(0);
+        encode_props(&PropMap::new(), &mut e);
+        encode_flags(&[], &mut e);
+        encode_flags(ghost, &mut e);
+        e.usize(0);
+        encode_flags(&[], &mut e);
+        e.into_bytes()
+    }
+
     #[test]
-    fn sharded_graph_round_trips_ghosts() {
-        let g = toy().shard(&|v| v.0 % 2 == 0);
-        let back = round_trip(&g);
-        assert_eq!(back.owned_vertex_count(), g.owned_vertex_count());
-        for v in g.vertices() {
-            assert_eq!(back.is_vertex_ghost(v), g.is_vertex_ghost(v));
-        }
-        assert_eq!(GraphStats::compute(&g), GraphStats::compute(&back));
+    fn ghost_column_is_written_empty_and_a_set_flag_is_rejected() {
+        let mut b = GraphBuilder::new();
+        b.add_vertex("Job");
+        let mut e = Enc::new();
+        b.finish().encode(&mut e);
+        assert_eq!(e.into_bytes(), one_job_record(&[]));
+        let back = Graph::decode(&mut Dec::new(&one_job_record(&[false]))).unwrap();
+        assert_eq!(back.vertex_count(), 1);
+        assert_eq!(
+            Graph::decode(&mut Dec::new(&one_job_record(&[true]))).unwrap_err(),
+            CodecError::Corrupt("ghost vertex flag set")
+        );
     }
 
     #[test]

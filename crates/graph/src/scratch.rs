@@ -76,13 +76,6 @@ pub(crate) fn give_u32(buf: Vec<u32>) {
     U32_POOL.give(buf)
 }
 
-/// A `vec![0u32; len]` equivalent drawn from the pool.
-pub(crate) fn take_u32_zeroed(len: usize) -> Vec<u32> {
-    let mut buf = take_u32(len);
-    buf.resize(len, 0);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,16 +95,6 @@ mod tests {
         assert_eq!(again.as_ptr(), ptr);
         assert!(again.is_empty());
         pool.give(again);
-    }
-
-    #[test]
-    fn zeroed_take_is_all_zero_after_reuse() {
-        let mut buf = take_u32(16);
-        buf.extend([7u32; 16]);
-        give_u32(buf);
-        let z = take_u32_zeroed(16);
-        assert_eq!(z, vec![0u32; 16]);
-        give_u32(z);
     }
 
     #[test]

@@ -94,15 +94,6 @@ impl DegreeHist {
         self.degree_sum -= d;
     }
 
-    /// Adds every occurrence of `other` into this histogram.
-    fn merge_from(&mut self, other: &DegreeHist) {
-        for (&d, &c) in &other.counts {
-            *self.counts.entry(d).or_insert(0) += c;
-        }
-        self.n += other.n;
-        self.degree_sum += other.degree_sum;
-    }
-
     /// Nearest-rank percentile over the multiset (0 when empty).
     fn percentile(&self, p: f64) -> usize {
         if self.n == 0 {
@@ -160,20 +151,9 @@ impl GraphStats {
     /// Computes statistics for `g` in a single pass over the vertices.
     /// The result retains degree histograms, so it can be maintained
     /// incrementally with [`GraphStats::with_changes`].
-    ///
-    /// **Ghost vertices are excluded**: on a shard of a partitioned
-    /// graph (see [`Graph::shard`]) only owned vertices contribute, so
-    /// [`GraphStats::merge`] over per-shard stats reproduces the global
-    /// stats exactly — every vertex is counted once, on its owner, and
-    /// its local out-degree there equals its global out-degree (all of
-    /// a vertex's out-edges live on its owner shard). On unpartitioned
-    /// graphs nothing changes.
     pub fn compute(g: &Graph) -> Self {
         let mut hist = StatsHist::default();
         for v in g.vertices() {
-            if g.is_vertex_ghost(v) {
-                continue;
-            }
             let d = g.out_degree(v);
             hist.overall.add(d);
             hist.per_type
@@ -188,50 +168,11 @@ impl GraphStats {
             .collect();
         GraphStats {
             per_type,
-            vertex_count: g.owned_vertex_count(),
+            vertex_count: g.vertex_count(),
             edge_count: g.edge_count(),
             overall: hist.overall.summarize(),
             hist: Some(hist),
         }
-    }
-
-    /// Merges per-shard statistics into global statistics: degree
-    /// histograms are unioned per type (and overall), vertex and edge
-    /// counts are summed. When each part was computed over one shard of
-    /// a partitioned graph, the result is **exactly** what
-    /// [`GraphStats::compute`] over the unpartitioned graph returns
-    /// (asserted by tests) — the scatter/gather planner in
-    /// `kaskade-service` plans against merged stats without ever
-    /// touching a global rescan.
-    ///
-    /// Returns `None` if any part carries no histograms (synthetic
-    /// stats from [`GraphStats::from_parts`] cannot be merged) — fall
-    /// back to a full compute.
-    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a GraphStats>) -> Option<GraphStats> {
-        let mut hist = StatsHist::default();
-        let mut vertex_count = 0usize;
-        let mut edge_count = 0usize;
-        for part in parts {
-            let part_hist = part.hist.as_ref()?;
-            vertex_count += part.vertex_count;
-            edge_count += part.edge_count;
-            for (t, h) in &part_hist.per_type {
-                hist.per_type.entry(t.clone()).or_default().merge_from(h);
-            }
-            hist.overall.merge_from(&part_hist.overall);
-        }
-        let per_type = hist
-            .per_type
-            .iter()
-            .map(|(t, h)| (t.clone(), h.summarize()))
-            .collect();
-        Some(GraphStats {
-            per_type,
-            vertex_count,
-            edge_count,
-            overall: hist.overall.summarize(),
-            hist: Some(hist),
-        })
     }
 
     /// Applies a batch of per-vertex degree changes, returning the
@@ -615,66 +556,6 @@ mod tests {
         );
         assert!(!s.supports_incremental());
         assert!(s.with_changes(&[], 0, 0).is_none());
-    }
-
-    #[test]
-    fn compute_skips_ghosts() {
-        let mut b = GraphBuilder::new();
-        let j = b.add_vertex("Job");
-        let f = b.add_ghost_vertex("File");
-        b.add_edge(j, f, "WRITES_TO");
-        let g = b.finish();
-        let s = GraphStats::compute(&g);
-        assert_eq!(s.vertex_count, 1);
-        assert_eq!(s.edge_count, 1);
-        assert!(s.for_type("File").is_none(), "ghost type not counted");
-        assert_eq!(s.for_type("Job").unwrap().max, 1);
-    }
-
-    #[test]
-    fn merge_of_shards_equals_global_compute() {
-        // a two-type graph with skewed degrees, partitioned two ways
-        let mut b = GraphBuilder::new();
-        let j0 = b.add_vertex("Job");
-        let j1 = b.add_vertex("Job");
-        let mut files = Vec::new();
-        for i in 0..6 {
-            let f = b.add_vertex("File");
-            b.add_edge(if i < 4 { j0 } else { j1 }, f, "WRITES_TO");
-            files.push(f);
-        }
-        b.add_edge(files[0], j1, "IS_READ_BY");
-        let g = b.finish();
-        let global = GraphStats::compute(&g);
-        for shards in [1usize, 2, 3] {
-            let parts: Vec<GraphStats> = (0..shards)
-                .map(|s| GraphStats::compute(&g.shard(&|v| (v.0 as usize) % shards == s)))
-                .collect();
-            let merged = GraphStats::merge(parts.iter()).unwrap();
-            assert_eq!(merged, global, "{shards} shards");
-            assert!(merged.supports_incremental());
-        }
-    }
-
-    #[test]
-    fn merge_refuses_synthetic_stats() {
-        let g = star(3);
-        let real = GraphStats::compute(&g);
-        let synthetic = GraphStats::from_parts(
-            vec![],
-            0,
-            0,
-            DegreeSummary {
-                cardinality: 0,
-                p50: 0,
-                p90: 0,
-                p95: 0,
-                max: 0,
-                mean: 0.0,
-            },
-        );
-        assert!(GraphStats::merge([&real, &synthetic]).is_none());
-        assert_eq!(GraphStats::merge([&real]).unwrap(), real);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!            submit(delta)                 publish(epoch+1)
 //!  clients ───────────────► queue ─► writer worker ─► SnapshotCell
 //!                                   (merge batch,         │ load
-//!                                    apply (partitioned   ▼
-//!                                    on the pool),    Arc<EpochSnapshot>
-//!                                    refresh views)       │
+//!                                    apply, refresh   ▼
+//!                                    views on the     Arc<EpochSnapshot>
+//!                                    pool)                │
 //!  readers ◄──────────────────────────────────────────────┘
 //!           execute(): plan-cache lookup → plan_target → pattern match
 //!                      (scattered over partitions) → relational stage
@@ -17,13 +17,13 @@
 //! run against an immutable `Arc<EpochSnapshot>`, and the writer builds
 //! the successor state off to the side before atomically publishing it.
 //!
-//! There is one write pipeline and one read path for every topology.
-//! With one partition (the default) the writer applies each batch with
-//! [`Snapshot::with_delta_report`]. With [`EngineConfig::partitioner`]
-//! over N > 1 shards, the same writer applies each batch across the
-//! shard partitions on the worker pool and assembles the global state
-//! from them (see [`crate::shard`]); reads then scatter pattern
-//! matching across the partitions.
+//! There is one graph, one write path and one read path for every
+//! partition count: the writer applies each batch with
+//! [`Snapshot::with_delta_report`] and compacts with
+//! [`Snapshot::compact`]. With [`EngineConfig::partitioner`] over N > 1
+//! partitions, connector refresh splits its frontier work by partition
+//! and reads scatter pattern matching across the partitions on the
+//! worker pool (see [`crate::shard`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,15 +32,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kaskade_core::{
-    DdlOp, DeltaError, GraphDelta, Kaskade, KaskadeError, RefreshOptions, Snapshot,
+    DdlOp, DeltaError, GraphDelta, Kaskade, KaskadeError, Partition, RefreshOptions, Snapshot,
 };
-use kaskade_graph::{ExternalIdTable, IdRemap, VertexId};
+use kaskade_graph::{ExternalIdTable, Graph, IdRemap, VertexId};
 use kaskade_query::{execute_with_pattern, PatternPlan, Query, Table};
 
-use crate::metrics::{LatencyHistogram, Metrics, MetricsReport};
+use crate::metrics::{Metrics, MetricsReport};
 use crate::plan_cache::{plan_key, PlanCache};
 use crate::pool::WorkerPool;
-use crate::shard::{scatter_gather, HashPartitioner, Partitioner, Partitions};
+use crate::shard::{scatter_gather, HashPartitioner, Partitioner};
 use crate::snapshot::{EpochSnapshot, Reader, SnapshotCell};
 use crate::trace::{Stage, Tracer};
 use crate::wal::{Wal, WalConfig};
@@ -63,19 +63,17 @@ pub struct EngineConfig {
     /// publish: dead slots are dropped, live ids renumber densely, and
     /// the compacted state publishes as a fresh epoch — the fence
     /// behind which queued deltas built against older epochs are
-    /// rebased through the recorded [`IdRemap`]s. Every shard partition
-    /// applies the same remap, so shard ids stay equal to global ids.
-    /// Default `0.5`, which bounds total slot capacity at ~2× the live
-    /// element count under any churn; `f64::INFINITY` disables
-    /// compaction.
+    /// rebased through the recorded [`IdRemap`]s. Default `0.5`, which
+    /// bounds total slot capacity at ~2× the live element count under
+    /// any churn; `f64::INFINITY` disables compaction.
     pub compact_dead_ratio: f64,
     /// The tracing subsystem (spans + flight recorder + slow-query
     /// log) this engine reports into. `None` creates a private disabled
     /// tracer — instrumented sites then cost one relaxed atomic load.
     pub tracer: Option<Arc<Tracer>>,
     /// Worker threads of the engine's persistent [`WorkerPool`] (view
-    /// refresh, shard applies, merged publish and query scatter all run
-    /// on it — steady-state serving never spawns a thread). `0` sizes
+    /// refresh, connector frontier work and query scatter all run on
+    /// it — steady-state serving never spawns a thread). `0` sizes
     /// the pool to the machine: available parallelism minus the
     /// helping caller.
     pub pool_threads: usize,
@@ -83,13 +81,15 @@ pub struct EngineConfig {
     /// record per merged batch **before** publishing it and
     /// checkpoints the full state every
     /// [`WalConfig::checkpoint_every`] batches. [`Engine::recover`]
-    /// restores the latest checkpoint + log on restart (and
-    /// re-partitions it). `None` (the default) serves purely in memory.
+    /// restores the latest checkpoint + log on restart. `None` (the
+    /// default) serves purely in memory.
     pub wal: Option<WalConfig>,
-    /// The vertex-ownership function, and with it the partition count.
-    /// One partition (the default) serves the whole graph from one
-    /// state; N > 1 splits every batch across N shard partitions and
-    /// scatters pattern matching over them.
+    /// The vertex partitioner, and with it the partition count. One
+    /// partition (the default) runs every read and refresh inline or
+    /// level-parallel; N > 1 splits connector frontier work and
+    /// pattern-match anchor scans into one pool task per partition.
+    /// The graph, the write path and every result are the same for any
+    /// partition count.
     pub partitioner: Arc<dyn Partitioner>,
     /// Minimum vertex count of a query's target graph before pattern
     /// matching scatters across the partitions. Below it the pattern
@@ -428,10 +428,6 @@ pub(crate) struct Shared {
     pub(crate) cell: Arc<SnapshotCell>,
     cache: PlanCache,
     metrics: Metrics,
-    /// Shard-local apply latency, one histogram per partition (empty
-    /// with one partition): one sample per batch that changed the
-    /// shard.
-    pub(crate) shard_apply: Vec<LatencyHistogram>,
     queued: AtomicU64,
     pub(crate) tracer: Arc<Tracer>,
     pub(crate) pool: Arc<WorkerPool>,
@@ -491,12 +487,11 @@ impl Engine {
 
     /// Recovers the engine from the WAL directory in
     /// [`EngineConfig::wal`] (required): loads the latest valid
-    /// checkpoint, replays every intact log record after it,
-    /// partitions the recovered state afresh, and resumes serving — and
-    /// logging — at the recovered epoch. The recovered global state is
-    /// partition-independent (the differential proptests hold
-    /// partitioned and unpartitioned engines byte-identical), so a
-    /// fresh ownership assignment is always consistent. `Ok(None)`
+    /// checkpoint, replays every intact log record after it, and
+    /// resumes serving — and logging — at the recovered epoch. The
+    /// recovered state is partition-independent (the differential
+    /// proptests hold partitioned and unpartitioned engines
+    /// byte-identical), so any partitioner may serve it. `Ok(None)`
     /// means the directory holds nothing recoverable; the caller starts
     /// fresh with [`Engine::try_with_config`].
     ///
@@ -518,11 +513,11 @@ impl Engine {
         }
     }
 
-    /// The one constructor behind fresh starts and recovery: partitions
-    /// `state` (when configured), publishes it at `epoch`, seats the
-    /// external-id table in the writer, and (when configured) opens the
-    /// WAL with a fresh checkpoint of exactly this state — so the
-    /// on-disk frontier always equals the first published snapshot.
+    /// The one constructor behind fresh starts and recovery: publishes
+    /// `state` at `epoch`, seats the external-id table in the writer,
+    /// and (when configured) opens the WAL with a fresh checkpoint of
+    /// exactly this state — so the on-disk frontier always equals the
+    /// first published snapshot.
     /// `recovered` marks the post-recovery reopen, which may
     /// legitimately collapse the WAL directory's existing state into
     /// the new checkpoint; a fresh start refuses that (see
@@ -548,19 +543,12 @@ impl Engine {
             0 => WorkerPool::with_default_threads(),
             t => WorkerPool::new(t),
         };
-        let parts = Partitions::new(&config.partitioner, &state, epoch);
-        let shard_states = Partitions::states(&parts);
         let extids = Arc::new(extids);
         let shared = Arc::new(Shared {
-            shard_apply: shard_states
-                .iter()
-                .map(|_| LatencyHistogram::default())
-                .collect(),
             cell: Arc::new(SnapshotCell::with_snapshot(EpochSnapshot {
                 epoch,
                 state,
                 extids: Arc::clone(&extids),
-                shard_states,
             })),
             cache: PlanCache::new(),
             metrics: Metrics::new(),
@@ -589,7 +577,6 @@ impl Engine {
                     compact_dead_ratio,
                     wal,
                     extids,
-                    parts,
                 )
             })
             .expect("spawn writer worker");
@@ -681,11 +668,10 @@ impl Engine {
     /// as its own epoch with the refresh DAG rebuilt, logs a `KIND_DDL`
     /// WAL record when durability is on, and invalidates the plan
     /// cache: no plan carries forward across a catalog change. Views
-    /// are materialized over the global graph (shard partitions hold no
-    /// catalog), so a DDL epoch republishes the shard states unchanged.
-    /// Returns `false` when the engine is shutting down. Blocks while
-    /// the queue is full rather than failing — DDL is rare and must not
-    /// be shed under write load.
+    /// are materialized over the one base graph whatever the partition
+    /// count. Returns `false` when the engine is shutting down. Blocks
+    /// while the queue is full rather than failing — DDL is rare and
+    /// must not be shed under write load.
     pub fn submit_ddl(&self, op: DdlOp) -> bool {
         self.tx.send(Msg::Ddl(op)).is_ok()
     }
@@ -735,32 +721,6 @@ impl Engine {
         )
     }
 
-    /// One report per partition: the partition's shard-local apply
-    /// distribution and the epoch that last changed it (every other
-    /// counter is engine-wide and lives in [`Engine::metrics`]). With
-    /// one partition, that partition's apply is the whole batch apply.
-    pub fn shard_reports(&self) -> Vec<MetricsReport> {
-        let snap = self.snapshot();
-        if snap.shard_states.is_empty() {
-            return vec![MetricsReport::for_partition(
-                self.shared.metrics.apply_latency(),
-                snap.epoch,
-            )];
-        }
-        self.shared
-            .shard_apply
-            .iter()
-            .zip(&snap.shard_states)
-            .map(|(hist, shard)| MetricsReport::for_partition(hist, shard.epoch))
-            .collect()
-    }
-
-    /// The shard-local apply histograms, one per partition (empty with
-    /// one partition).
-    pub(crate) fn shard_apply_latency(&self) -> &[LatencyHistogram] {
-        &self.shared.shard_apply
-    }
-
     /// The engine's tracing subsystem (flight recorder + slow-query
     /// log). Always present; disabled unless a tracer was passed via
     /// [`EngineConfig::tracer`] or enabled at runtime.
@@ -768,10 +728,9 @@ impl Engine {
         &self.shared.tracer
     }
 
-    /// The persistent worker pool the write path, the partition applies
-    /// and the query scatter run on. Its [`WorkerPool::dispatches`]
-    /// counter is the "steady-state serving runs on the pool"
-    /// observability hook.
+    /// The persistent worker pool the view refresh and the query
+    /// scatter run on. Its [`WorkerPool::dispatches`] counter is the
+    /// "steady-state serving runs on the pool" observability hook.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.shared.pool
     }
@@ -939,14 +898,13 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
 
 /// The single-writer worker: blocks on the queue, merges up to
 /// `max_batch` queued deltas into one [`GraphDelta`], applies it with
-/// incremental view maintenance — across the shard partitions when
-/// `parts` is set — and publishes the successor snapshot. After each
-/// publish it checks the slot-compaction policy
-/// ([`EngineConfig::compact_dead_ratio`]): when the dead-slot share
-/// crosses the threshold, the state (and every partition, through the
-/// same remap) compacts and publishes as its own epoch — the fence —
-/// and the remap is recorded so queued deltas built against older
-/// epochs rebase on arrival.
+/// incremental view maintenance on the worker pool — connector
+/// frontier work split by partition when there is more than one — and
+/// publishes the successor snapshot. After each publish it checks the
+/// slot-compaction policy ([`EngineConfig::compact_dead_ratio`]): when
+/// the dead-slot share crosses the threshold, the state compacts and
+/// publishes as its own epoch — the fence — and the remap is recorded
+/// so queued deltas built against older epochs rebase on arrival.
 fn writer_loop(
     shared: Arc<Shared>,
     rx: mpsc::Receiver<Msg>,
@@ -954,7 +912,6 @@ fn writer_loop(
     compact_dead_ratio: f64,
     mut wal: Option<Wal>,
     mut extids: Arc<ExternalIdTable>,
-    mut parts: Option<Partitions>,
 ) {
     // the worker's working state always equals the published snapshot
     let mut state = shared.cell.load().state.clone();
@@ -962,6 +919,18 @@ fn writer_loop(
     // epoch — the same staleness floor `Shared::oldest_supported` was
     // seeded with
     let mut remaps = RemapHistory::starting_at(shared.cell.epoch());
+    // the partition reads vertex types off the graph it is handed (the
+    // applied graph), so a by-type partitioner sees the batch's new
+    // vertices too
+    let partitioner = &*shared.partitioner;
+    let part_of = |g: &Graph, v: VertexId| partitioner.shard_of(v, g.vertex_type(v));
+    let refresh = RefreshOptions {
+        exec: Some(&*shared.pool),
+        partition: (partitioner.shard_count() > 1).then_some(Partition {
+            part_of: &part_of,
+            parts: partitioner.shard_count(),
+        }),
+    };
     let mut open = true;
     while open {
         let batch = collect_batch(&rx, state.graph(), max_batch, &remaps, &extids);
@@ -976,6 +945,9 @@ fn writer_loop(
             let tracer = &shared.tracer;
             let retractions = batch.delta.del_edges.len() + batch.delta.del_vertices.len();
             let mut batch_span = tracer.span(Stage::WriteBatch);
+            // the single writer knows the epoch this batch publishes as,
+            // so its apply and publish children carry it from the start
+            batch_span.set_epoch(shared.cell.epoch() + 1);
             if tracer.is_enabled() {
                 batch_span.set_detail(format!("batched={}", batch.batched));
                 // how long the oldest delta sat queued before this
@@ -996,22 +968,12 @@ fn writer_loop(
             let apply_span = batch_span.child(Stage::Apply);
             let apply_id = apply_span.id();
             let base_slots = state.graph().vertex_slots();
-            let (next, report) = match parts.as_mut() {
-                None => state.with_delta_report(
-                    &batch.delta,
-                    &RefreshOptions {
-                        exec: Some(&*shared.pool),
-                        ..RefreshOptions::default()
-                    },
-                ),
-                Some(p) => p.apply(&shared, &state, &batch.delta, apply_id),
-            };
+            let (next, report) = state.with_delta_report(&batch.delta, &refresh);
             drop(apply_span);
             state = next;
             // group commit: ONE durable record for the whole merged
-            // batch (never the per-shard sub-deltas), written (and
-            // fsynced) strictly before the epoch it predicts becomes
-            // visible. An I/O failure here is fail-stop — the writer
+            // batch, written (and fsynced) strictly before the epoch it
+            // predicts becomes visible. An I/O failure here is fail-stop — the writer
             // dies rather than acknowledging a batch that is not on
             // disk, and submissions then return `Closed`.
             if let Some(w) = wal.as_mut() {
@@ -1035,11 +997,7 @@ fn writer_loop(
                 }
             }
             let mut publish_span = batch_span.child(Stage::Publish);
-            let epoch = shared.cell.publish(
-                state.clone(),
-                Arc::clone(&extids),
-                Partitions::states(&parts),
-            );
+            let epoch = shared.cell.publish(state.clone(), Arc::clone(&extids));
             publish_span.set_epoch(epoch);
             drop(publish_span);
             batch_span.set_epoch(epoch);
@@ -1085,14 +1043,8 @@ fn writer_loop(
                 w.append_ddl(shared.cell.epoch() + 1, op)
                     .expect("WAL append failed; refusing to publish an unlogged DDL");
             }
-            // views live on the global state only, so the shard states
-            // republish unchanged and stay coherent
             state = state.apply_ddl(op);
-            let epoch = shared.cell.publish(
-                state.clone(),
-                Arc::clone(&extids),
-                Partitions::states(&parts),
-            );
+            let epoch = shared.cell.publish(state.clone(), Arc::clone(&extids));
             // catalog changed: NO plan carry-forward across this epoch
             // (prune instead of promote). The new epoch starts empty so
             // every query replans against the new catalog; the previous
@@ -1124,20 +1076,10 @@ fn writer_loop(
             }
             let (next, remap) = state.compact();
             state = next;
-            // every partition applies the identical remap, so shard ids
-            // stay equal to global ids and each shard drops its ghost
-            // copies of the dead slots
-            if let Some(p) = parts.as_mut() {
-                p.compact(&remap, state.graph(), epoch, &shared.pool);
-            }
             // external ids follow the same remap the delta rebase path
             // uses, inside the same epoch publish
             Arc::make_mut(&mut extids).remap(&remap);
-            shared.cell.publish(
-                state.clone(),
-                Arc::clone(&extids),
-                Partitions::states(&parts),
-            );
+            shared.cell.publish(state.clone(), Arc::clone(&extids));
             shared.cache.promote(epoch);
             let reclaimed = before - slot_capacity(state.graph());
             shared.metrics.record_compaction(reclaimed);
@@ -1263,6 +1205,63 @@ mod tests {
             slow.contains(" pattern=") && slow.contains(" relational="),
             "{slow}"
         );
+    }
+
+    #[test]
+    fn child_spans_carry_their_epoch() {
+        let tracer = Arc::new(Tracer::new(true));
+        let engine = Engine::with_config(
+            Snapshot::new(lineage(), Schema::provenance()),
+            EngineConfig {
+                tracer: Some(Arc::clone(&tracer)),
+                ..EngineConfig::default()
+            },
+        );
+        let mut d = GraphDelta::new();
+        d.add_vertex("Job", vec![]);
+        engine.submit(d, SubmitOpts::default()).unwrap();
+        let epoch = engine.flush();
+        assert_eq!(epoch, 1);
+        engine.execute(&count_query()).unwrap();
+        let events = tracer.dump();
+        let root = events
+            .iter()
+            .find(|e| e.stage == Stage::Query)
+            .expect("query root span");
+        // every span below the root, at any depth
+        let mut under = vec![root.id];
+        let mut i = 0;
+        while i < under.len() {
+            let parent = under[i];
+            under.extend(events.iter().filter(|e| e.parent == parent).map(|e| e.id));
+            i += 1;
+        }
+        let spans: Vec<_> = events.iter().filter(|e| under.contains(&e.id)).collect();
+        for stage in [
+            Stage::Query,
+            Stage::PlanCacheLookup,
+            Stage::Plan,
+            Stage::Relational,
+            Stage::PatternMatch,
+        ] {
+            assert!(
+                spans.iter().any(|e| e.stage == stage),
+                "no {stage} span under the query root:\n{}",
+                tracer.render_dump()
+            );
+        }
+        for e in spans {
+            assert_eq!(
+                e.epoch,
+                epoch,
+                "{} span:\n{}",
+                e.stage,
+                tracer.render_dump()
+            );
+        }
+        // the batch's apply span carries the epoch it published as
+        let apply = events.iter().find(|e| e.stage == Stage::Apply).unwrap();
+        assert_eq!(apply.epoch, epoch, "{}", tracer.render_dump());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! [`render_prometheus`] turns an [`Engine`] into the text exposition
 //! format (version 0.0.4): counters and gauges from the stitched
 //! [`MetricsReport`](crate::MetricsReport), per-view series labeled
-//! `{view="..."}`, per-partition series labeled `{shard="N"}`, and full
-//! cumulative `_bucket`/`_sum`/`_count` histograms translated from the
-//! log-bucket [`LatencyHistogram`]s. [`MetricsServer`] binds a
+//! `{view="..."}`, and full cumulative `_bucket`/`_sum`/`_count`
+//! histograms translated from the log-bucket [`LatencyHistogram`]s. [`MetricsServer`] binds a
 //! listener and serves it from one background thread:
 //!
 //! - `GET /metrics` — the exposition text
@@ -68,11 +67,10 @@ fn push_series(out: &mut String, name: &str, help: &str, kind: &str, rows: &[(St
 /// bound `2^(i+1)` ns) plus the mandatory `+Inf`, then `_sum` and
 /// `_count`. Skipping empty buckets keeps the text compact and is
 /// legal — cumulative counts are correct at every emitted bound.
-fn push_histogram(out: &mut String, name: &str, help: &str, labels: &str, h: &LatencyHistogram) {
+fn push_histogram(out: &mut String, name: &str, help: &str, h: &LatencyHistogram) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} histogram");
-    let sep = if labels.is_empty() { "" } else { "," };
     let mut cumulative = 0u64;
     for (i, &n) in h.bucket_counts().iter().enumerate() {
         if n == 0 {
@@ -80,22 +78,11 @@ fn push_histogram(out: &mut String, name: &str, help: &str, labels: &str, h: &La
         }
         cumulative += n;
         let upper = (1u128 << (i + 1)) as f64 / 1.0e9;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}"
-        );
+        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
     }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
-    );
-    let braced = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let _ = writeln!(out, "{name}_sum{braced} {}", h.sum().as_secs_f64());
-    let _ = writeln!(out, "{name}_count{braced} {cumulative}");
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
+    let _ = writeln!(out, "{name}_sum {}", h.sum().as_secs_f64());
+    let _ = writeln!(out, "{name}_count {cumulative}");
 }
 
 /// Renders the engine's full state in the Prometheus text exposition
@@ -372,47 +359,20 @@ pub fn render_prometheus(engine: &Engine) -> String {
         );
     }
 
-    // per-partition series: the scatter balance gauge (the shard-local
-    // apply histograms follow below)
-    let snap = engine.snapshot();
-    if !snap.shard_states.is_empty() {
-        let rows: Vec<_> = snap
-            .shard_states
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                (
-                    format!("kaskade_shard_owned_slots{{shard=\"{s}\"}}"),
-                    shard.state.graph().owned_vertex_count() as f64,
-                )
-            })
-            .collect();
-        push_series(
-            &mut out,
-            "kaskade_shard_owned_slots",
-            "Vertex slots owned by this shard.",
-            "gauge",
-            &rows,
-        );
-    }
-
-    // full latency distributions, straight from the live histograms:
-    // the end-to-end batch apply plus one shard-local series per
-    // partition
+    // full latency distributions, straight from the live histograms
     let metrics = engine.metrics_handle();
     push_histogram(
         &mut out,
         "kaskade_query_latency_seconds",
         "Query latency distribution.",
-        "",
         metrics.query_latency(),
     );
-    let apply_help = "Per-batch apply+publish latency distribution.";
-    let apply = "kaskade_apply_latency_seconds";
-    push_histogram(&mut out, apply, apply_help, "", metrics.apply_latency());
-    for (s, hist) in engine.shard_apply_latency().iter().enumerate() {
-        push_histogram(&mut out, apply, apply_help, &format!("shard=\"{s}\""), hist);
-    }
+    push_histogram(
+        &mut out,
+        "kaskade_apply_latency_seconds",
+        "Per-batch apply+publish latency distribution.",
+        metrics.apply_latency(),
+    );
 
     let _ = writeln!(out, "# EOF");
     out
@@ -562,32 +522,6 @@ mod tests {
             let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             assert!(v >= last, "non-monotonic bucket in {line}");
             last = v;
-        }
-    }
-
-    #[test]
-    fn sharded_exposition_labels_shards() {
-        let g = generate_provenance(&ProvenanceConfig::tiny(5).core_only());
-        let k = Kaskade::new(g, Schema::provenance());
-        let sharded = Engine::with_config(
-            k.snapshot(),
-            crate::EngineConfig {
-                scatter_min_vertices: 0,
-                ..crate::EngineConfig::hash(2)
-            },
-        );
-        let mut delta = kaskade_core::GraphDelta::new();
-        delta.add_vertex("Job", vec![]);
-        sharded.submit(delta, crate::SubmitOpts::default()).unwrap();
-        sharded.flush();
-        let text = render_prometheus(&sharded);
-        for needle in [
-            "kaskade_apply_latency_seconds_count{shard=\"0\"}",
-            "kaskade_apply_latency_seconds_count{shard=\"1\"}",
-            "kaskade_shard_owned_slots{shard=\"0\"}",
-            "kaskade_epoch 1",
-        ] {
-            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
     }
 

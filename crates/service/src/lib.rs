@@ -38,15 +38,14 @@
 //!   per `(epoch, alpha-normalized query)`, with hit/miss counters
 //!   surfaced through [`metrics`].
 //!
-//! A fourth module scales the first three out: **partitioning**
-//! ([`shard`]). With [`EngineConfig::partitioner`] over N > 1 shards the
-//! same engine — same writer loop, same read path — splits every batch
-//! across N catalog-free shard partitions applied in parallel on its
-//! worker pool, assembles the global state from them, and scatters
-//! pattern matching across them on the read path. It is
-//! observationally identical to one partition (differential proptests
-//! enforce byte-identical query results, views, and statistics).
-//! [`ShardedEngine`] is a thin handle over such an engine.
+//! A fourth module fans the work out: **partitioning** ([`shard`]).
+//! With [`EngineConfig::partitioner`] over N > 1 partitions the same
+//! engine — one graph, same writer loop, same read path — splits
+//! connector refresh frontiers and pattern-match anchor scans into one
+//! worker-pool task per partition. It is observationally identical to
+//! one partition (differential proptests enforce byte-identical query
+//! results, views, and statistics). [`ShardedEngine`] is a thin handle
+//! over such an engine.
 //!
 //! ```
 //! use kaskade_core::{GraphDelta, Kaskade};
@@ -104,8 +103,8 @@ pub use metrics::{LatencyHistogram, Metrics, MetricsReport, ViewMetrics};
 pub use plan_cache::{plan_key, PlanCache};
 pub use pool::WorkerPool;
 pub use shard::{
-    per_shard_lines, HashPartitioner, Partitioner, ShardedConfig, ShardedEngine,
-    ShardedMetricsReport, ShardedReader, ShardedSnapshot, TypePartitioner,
+    HashPartitioner, Partitioner, ShardedConfig, ShardedEngine, ShardedMetricsReport,
+    TypePartitioner,
 };
 pub use snapshot::{EpochSnapshot, Reader, SnapshotCell};
 pub use stream::{burst_delta, churn_delta, delta_for, hot_key_delta, scripted_delta, Workload};

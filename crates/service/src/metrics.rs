@@ -534,8 +534,7 @@ pub struct MetricsReport {
     /// 99th-percentile query latency (log-bucket upper bound).
     pub p99: Duration,
     /// Median per-batch apply+publish latency: the end-to-end batch
-    /// apply on every topology (a per-partition report carries the
-    /// shard-local apply instead).
+    /// apply on every partition count.
     pub apply_p50: Duration,
     /// 99th-percentile per-batch apply+publish latency.
     pub apply_p99: Duration,
@@ -573,8 +572,7 @@ pub struct MetricsReport {
     pub batches_published: u64,
     /// Cumulative apply+publish time across all batches — the total
     /// wall-clock the write path spent ingesting. The `serve_sharded`
-    /// experiment compares the per-partition figures against the
-    /// single-partition total to show the write path parallelizing.
+    /// experiment compares it across partition counts.
     pub apply_total: Duration,
     /// Apply+publish duration of the most recent batch.
     pub last_refresh: Duration,
@@ -599,21 +597,6 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// A partition's report: its shard-local apply distribution (one
-    /// sample per batch that changed the partition) and the epoch that
-    /// last changed it. Every other counter is engine-wide and stays
-    /// zero here.
-    pub(crate) fn for_partition(apply: &LatencyHistogram, epoch: u64) -> MetricsReport {
-        let mut r = Metrics::default().base_report();
-        r.deltas_applied = apply.count();
-        r.batches_published = apply.count();
-        r.apply_p50 = apply.quantile(0.50);
-        r.apply_p99 = apply.quantile(0.99);
-        r.apply_total = apply.sum();
-        r.epoch = epoch;
-        r
-    }
-
     /// `hits / (hits + misses)`, or 0.0 before any lookup.
     pub fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;

@@ -1,17 +1,16 @@
 //! The persistent worker pool behind steady-state serving parallelism.
 //!
 //! Before this pool, every parallel moment in the serving runtime paid
-//! a thread spawn: `execute_anchored` scattered per-shard queries on a
-//! `thread::scope`, each publish's view refresh spawned per DAG level,
-//! and partitioned connector maintenance spawned per bucket. Spawns
-//! cost tens of microseconds plus a page-faulting stack — visible at
-//! read p99 and paid once per query per shard.
+//! a thread spawn: `execute_anchored` scattered per-partition queries
+//! on a `thread::scope`, each publish's view refresh spawned per DAG
+//! level, and partitioned connector maintenance spawned per bucket.
+//! Spawns cost tens of microseconds plus a page-faulting stack —
+//! visible at read p99 and paid once per query per partition.
 //!
 //! [`WorkerPool`] replaces all of it: a fixed set of threads created
 //! once per engine, parked on a condvar when idle, fed jobs through an
-//! injector queue. It implements [`ParallelExec`], so the graph-layer
-//! merge publish, the refresh DAG, and the shard scatter all share one
-//! pool — zero thread spawns in steady-state serving (asserted through
+//! injector queue. It implements [`ParallelExec`], so the refresh DAG,
+//! connector frontier work and the query scatter all share one pool — zero thread spawns in steady-state serving (asserted through
 //! [`WorkerPool::dispatches`] in tests).
 //!
 //! The caller of [`WorkerPool::run`] *helps*: it claims task indices
@@ -253,10 +252,6 @@ impl ParallelExec for WorkerPool {
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    fn parallelism(&self) -> usize {
-        self.threads.len() + 1
     }
 }
 

@@ -1,85 +1,43 @@
-//! Partitioned serving: the base graph split into shard partitions of
-//! the one [`Engine`], with scatter/gather query execution.
+//! Partitioned serving: a [`Partitioner`] splits the vertices of the
+//! one graph the [`Engine`] serves into disjoint partitions, and the
+//! engine fans work out over them on its [`WorkerPool`](crate::WorkerPool).
 //!
-//! ```text
-//!                          ┌─ sub-delta ─► shard 0 apply ─┐
-//!  writer loop: batch ─► split ─ sub-delta ─► shard 1 apply ─┤ one pool.run
-//!                          ├─ sub-delta ─► shard N apply ─┤
-//!                          └─ stage_delta on the global ──┘
-//!                                      │
-//!                    merged publish from the shard CSRs, refresh views (∥),
-//!                    merge shard stats ─► publish epoch+1 with shard states
-//! ```
+//! A partition is not a copy of anything: there is one graph, one
+//! catalog and one write path for every partition count. A partition
+//! only says which pool task does a share of the work:
 //!
-//! A shard is not an engine: it is a catalog-free [`Snapshot`] (shard
-//! CSR + owned-vertex statistics) plus its rows of the ownership table,
-//! applied by the engine's single writer on the [`WorkerPool`]. No shard
-//! has a thread, queue, plan cache or metrics block of its own.
-//!
-//! ## Ownership and ghosts
-//!
-//! A [`Partitioner`] assigns every vertex to exactly one shard; each
-//! shard's local graph retains **every vertex slot** (ids stay equal to
-//! global ids, so deltas and result rows never need translation) but
-//! marks non-owned slots as **ghosts**, and stores exactly the edges
-//! whose *source* vertex it owns — a cross-shard edge lives on its
-//! source's shard and points at a ghost of the remote endpoint. Ghosts
-//! are excluded from statistics, so merging per-shard [`GraphStats`]
-//! with [`GraphStats::merge`] reproduces the global statistics
-//! exactly.
-//!
-//! ## Write path
-//!
-//! The writer validates each batch exactly as for one partition, then
-//! [`GraphDelta::split`]s it: vertex insertions broadcast (ghost except
-//! on the owner), edge operations route to the source's owner, vertex
-//! retractions broadcast so each shard cascades its local incident
-//! edges. One pool dispatch applies every sub-delta to its shard while
-//! one more task stages the batch's mutations on the global graph; the
-//! global CSR is then assembled from the shard CSRs
-//! ([`GraphEditor::finish_merged`](kaskade_graph::GraphEditor::finish_merged)),
-//! views refresh through the [`RefreshDag`] (connector frontiers
-//! recomputed one pool task per shard), and the global epoch publishes
-//! together with the shard states it was built from — a reader can
-//! never observe shard states from two different publishes
-//! ([`EpochSnapshot::is_coherent`]).
-//!
-//! ## Read path
-//!
-//! Queries plan once against the global snapshot (merged statistics,
-//! global view catalog, one plan cache), then **scatter**: the same
-//! pattern plan runs once per shard with the anchor scan restricted to
-//! that shard's owned vertices
-//! ([`PatternPlan::execute_anchored`](kaskade_query::PatternPlan::execute_anchored)),
-//! and **gather** merges the sorted, deduplicated row sets before the
-//! relational stage runs once. Every match is anchored at exactly one
-//! owner, so cross-shard walks are counted exactly once, and because
-//! pattern rows are DISTINCT the merged row set — and therefore the
-//! final table, ordering included — is byte-identical to the
-//! unpartitioned engine's (enforced by the differential proptests in
-//! `tests/properties.rs`).
+//! - **Reads scatter**: the same pattern plan runs once per partition
+//!   with the anchor scan restricted to that partition's vertices
+//!   ([`PatternPlan::execute_anchored`](kaskade_query::PatternPlan::execute_anchored)),
+//!   and **gather** merges the sorted, deduplicated row sets before the
+//!   relational stage runs once. Every match is anchored at exactly one
+//!   partition, and pattern rows are DISTINCT, so the merged row set —
+//!   and therefore the final table, ordering included — is
+//!   byte-identical to the unpartitioned engine's (enforced by the
+//!   differential proptests in `tests/properties.rs`).
+//! - **Connector refresh splits its frontier work**: the writer passes
+//!   the partitioner to the refresh DAG, which recomputes the affected
+//!   sources of each partition as one pool task. Any split yields the
+//!   same refreshed view.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use kaskade_core::{
-    stage_delta, GraphDelta, Kaskade, KaskadeError, Partition, RefreshDag, RefreshOptions,
-    RefreshReport, Snapshot, VRef,
-};
-use kaskade_graph::{EdgeId, ExternalIdTable, Graph, GraphStats, IdRemap, VertexId};
+use kaskade_core::{GraphDelta, Kaskade, KaskadeError, Snapshot};
+use kaskade_graph::{Graph, VertexId};
 use kaskade_query::{PatternPlan, PatternRows, Query, Table};
 
 use crate::engine::{Engine, EngineConfig, Shared, SubmitError, SubmitOpts};
 use crate::metrics::MetricsReport;
-use crate::pool::WorkerPool;
-use crate::snapshot::{EpochSnapshot, Reader};
+use crate::snapshot::EpochSnapshot;
 use crate::trace::{Stage, Tracer};
 
-/// Assigns every vertex to exactly one shard. Ownership must be a pure
-/// function of the vertex's id and type (both immutable for the life of
-/// a slot), so a vertex's owner never changes.
+/// Assigns every vertex to exactly one partition. It must be a pure
+/// function of the vertex's id and type, so one scatter or refresh
+/// splits its vertices disjointly; which function it is changes how the
+/// work divides, never the result.
 pub trait Partitioner: Send + Sync + fmt::Debug {
     /// Number of shards this partitioner distributes over.
     fn shard_count(&self) -> usize;
@@ -97,7 +55,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Hash partitioning of vertex identity (the default): spreads vertices
-/// of every type uniformly, so write batches and scatter work balance
+/// of every type uniformly, so refresh and scatter work balance
 /// even under skewed type distributions.
 #[derive(Debug, Clone, Copy)]
 pub struct HashPartitioner {
@@ -156,50 +114,16 @@ impl Partitioner for TypePartitioner {
 }
 
 /// Tuning of a partitioned engine: the one [`EngineConfig`], built with
-/// [`EngineConfig::hash`].
+/// [`EngineConfig::hash`]. Kept as a name for existing callers.
 pub type ShardedConfig = EngineConfig;
 
-/// A published epoch of a partitioned engine: an [`EpochSnapshot`]
-/// whose `shard_states` hold the partitions it was assembled from.
-pub type ShardedSnapshot = EpochSnapshot;
-
-/// A per-thread read handle over a partitioned engine: the one
-/// [`Reader`].
-pub type ShardedReader = Reader;
-
-/// A point-in-time metrics report of a partitioned engine: the
-/// engine-wide report plus one report per partition.
+/// A metrics report of a partitioned engine, in the shape existing
+/// callers read: the engine-wide report, which is the whole report on
+/// every partition count.
 #[derive(Debug, Clone)]
 pub struct ShardedMetricsReport {
-    /// Engine-wide counters: queries and latency across all readers,
-    /// deltas/batches/backpressure, and the end-to-end batch
-    /// apply+publish distribution.
+    /// Engine-wide counters and latency distributions.
     pub global: MetricsReport,
-    /// Per-partition reports ([`Engine::shard_reports`]): the
-    /// shard-local apply distribution of each partition.
-    pub per_shard: Vec<MetricsReport>,
-}
-
-/// One formatted line per partition (sub-deltas applied and apply
-/// total) — what the CLI appends after the engine-wide report.
-pub fn per_shard_lines(per_shard: &[MetricsReport]) -> String {
-    use fmt::Write;
-    let mut out = String::new();
-    for (i, shard) in per_shard.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "shard {i:<2}           {} sub-deltas (epoch {}, apply total {:?})",
-            shard.deltas_applied, shard.epoch, shard.apply_total
-        );
-    }
-    out
-}
-
-impl fmt::Display for ShardedMetricsReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}", self.global)?;
-        f.write_str(&per_shard_lines(&self.per_shard))
-    }
 }
 
 /// An [`Engine`] built with hash partitioning — a thin handle over the
@@ -230,8 +154,7 @@ impl ShardedEngine {
         Engine::try_with_config(state, config).map(ShardedEngine)
     }
 
-    /// See [`Engine::recover`]: the recovered state is partitioned
-    /// afresh over the configured shards.
+    /// See [`Engine::recover`].
     pub fn recover(config: ShardedConfig) -> std::io::Result<Option<Self>> {
         Ok(Engine::recover(config)?.map(ShardedEngine))
     }
@@ -262,15 +185,14 @@ impl ShardedEngine {
     }
 
     /// See [`Engine::snapshot`].
-    pub fn snapshot(&self) -> Arc<ShardedSnapshot> {
+    pub fn snapshot(&self) -> Arc<EpochSnapshot> {
         self.0.snapshot()
     }
 
-    /// The engine-wide report plus one report per partition.
+    /// The engine-wide report ([`Engine::metrics`]).
     pub fn metrics(&self) -> ShardedMetricsReport {
         ShardedMetricsReport {
             global: self.0.metrics(),
-            per_shard: self.0.shard_reports(),
         }
     }
 }
@@ -280,256 +202,6 @@ impl Deref for ShardedEngine {
 
     fn deref(&self) -> &Engine {
         &self.0
-    }
-}
-
-/// The writer's partition state: the ownership table, the shard-local →
-/// global edge translation, and each shard's current state. Owned by
-/// the writer loop; readers see the shard states only through the
-/// published [`EpochSnapshot::shard_states`].
-pub(crate) struct Partitions {
-    partitioner: Arc<dyn Partitioner>,
-    /// The authoritative ownership table, one entry per vertex slot.
-    /// Ownership is assigned by the partitioner when a slot is created
-    /// and NEVER recomputed afterwards: slot compaction renumbers ids,
-    /// and re-hashing a renumbered id would silently disagree with
-    /// where the vertex's edges physically live (its ghost marks on the
-    /// shards). The table is compacted through the very same remaps
-    /// instead, so it always matches the shard ghost flags slot for
-    /// slot.
-    owners: Vec<u32>,
-    /// `edge_global[s][j]` is the global edge id of shard `s`'s local
-    /// edge slot `j`. `Graph::shard` keeps a shard's edges in preserved
-    /// global order, so routing the global edges to their source's
-    /// owner in slot order reproduces every shard's local numbering.
-    /// Appended per batch, rebuilt on compaction; the merged publish
-    /// translates shard CSR rows through these tables.
-    edge_global: Vec<Vec<EdgeId>>,
-    /// Each shard's state as of the last publish.
-    shards: Vec<Arc<EpochSnapshot>>,
-    /// The (empty) external-id table every shard state carries: ids
-    /// bind on the global state only.
-    no_extids: Arc<ExternalIdTable>,
-}
-
-impl Partitions {
-    /// Partitions `state` (published at `epoch`) over the
-    /// partitioner's shards; `None` for a single partition, which
-    /// serves the global state directly.
-    pub(crate) fn new(
-        partitioner: &Arc<dyn Partitioner>,
-        state: &Snapshot,
-        epoch: u64,
-    ) -> Option<Partitions> {
-        let n = partitioner.shard_count();
-        if n <= 1 {
-            return None;
-        }
-        let g = state.graph();
-        let owners: Vec<u32> = (0..g.vertex_slots())
-            .map(|i| {
-                let v = VertexId(i as u32);
-                partitioner.shard_of(v, g.vertex_type(v)) as u32
-            })
-            .collect();
-        let no_extids = Arc::new(ExternalIdTable::new());
-        let shards = (0..n)
-            .map(|s| {
-                let shard = g.shard(&|v| owners[v.index()] as usize == s);
-                Arc::new(EpochSnapshot {
-                    epoch,
-                    state: Snapshot::new(shard, state.schema().clone()),
-                    extids: Arc::clone(&no_extids),
-                    shard_states: Vec::new(),
-                })
-            })
-            .collect();
-        let mut parts = Partitions {
-            partitioner: Arc::clone(partitioner),
-            owners,
-            edge_global: Vec::new(),
-            shards,
-            no_extids,
-        };
-        parts.rebuild_edge_global(g);
-        Some(parts)
-    }
-
-    /// The shard states to publish with the next epoch (empty for a
-    /// single partition).
-    pub(crate) fn states(parts: &Option<Partitions>) -> Vec<Arc<EpochSnapshot>> {
-        parts.as_ref().map_or_else(Vec::new, |p| p.shards.clone())
-    }
-
-    /// Routes every live global edge to its source's owner, in slot
-    /// order — each shard's local edge numbering.
-    fn rebuild_edge_global(&mut self, g: &Graph) {
-        let mut tables = vec![Vec::new(); self.shards.len()];
-        for e in g.edges() {
-            tables[self.owners[g.edge_src(e).index()] as usize].push(e);
-        }
-        self.edge_global = tables;
-    }
-
-    /// Applies one validated batch across the partitions and derives
-    /// the next global state. One pool dispatch runs every shard's
-    /// sub-delta apply alongside the global staging of the batch's
-    /// mutations (deaths, ghosts, new columns — everything `apply_delta`
-    /// does except the adjacency build); the global CSR is then copied
-    /// out of the shard CSRs on the pool, views refresh through the
-    /// refresh DAG with connector frontiers partitioned by shard, and
-    /// statistics are the merge of the per-shard statistics.
-    pub(crate) fn apply(
-        &mut self,
-        shared: &Shared,
-        state: &Snapshot,
-        batch: &GraphDelta,
-        apply_id: u64,
-    ) -> (Snapshot, RefreshReport) {
-        let pool = &*shared.pool;
-        let n = self.shards.len();
-        let epoch = shared.cell.epoch() + 1;
-        let g = state.graph();
-        let slots = g.vertex_slots();
-        debug_assert_eq!(
-            self.owners.len(),
-            slots,
-            "ownership table tracks every slot"
-        );
-        // the batch's inserts get their owners at their predicted
-        // global ids; routing below reads them from the same table
-        for (i, nv) in batch.vertices.iter().enumerate() {
-            let v = VertexId((slots + i) as u32);
-            self.owners
-                .push(self.partitioner.shard_of(v, &nv.vtype) as u32);
-        }
-        let owners = &self.owners;
-        let owner_of = |v: VertexId| owners[v.index()] as usize;
-        let subs = batch.split(n, &owner_of, &|i| owners[slots + i] as usize);
-        let edge_slots = g.edge_slots();
-        for (k, e) in batch.edges.iter().enumerate() {
-            let owner = match e.src {
-                VRef::Existing(v) => owner_of(v),
-                VRef::New(i) => owners[slots + i] as usize,
-                VRef::External(_) => unreachable!("external refs are resolved before split"),
-            };
-            self.edge_global[owner].push(EdgeId((edge_slots + k) as u32));
-        }
-
-        // task 0 stages the batch on the global graph (the longest
-        // task, so it is claimed first); tasks 1..=n apply the shard
-        // sub-deltas
-        let staged = Mutex::new(None);
-        let (shards, no_extids) = (&self.shards, &self.no_extids);
-        let applied_shards = pool.map(n + 1, &|t| {
-            if t == 0 {
-                let mut ed = g.edit_parallel(pool);
-                let delta = stage_delta(g, batch, &mut ed);
-                *staged.lock().unwrap_or_else(|e| e.into_inner()) = Some((ed, delta));
-                return None;
-            }
-            let s = t - 1;
-            if subs[s].is_empty() {
-                return None;
-            }
-            let start = Instant::now();
-            let next = shards[s].state.with_delta(&subs[s]);
-            shared.shard_apply[s].record(start.elapsed());
-            Some(Arc::new(EpochSnapshot {
-                epoch,
-                state: next,
-                extids: Arc::clone(no_extids),
-                shard_states: Vec::new(),
-            }))
-        });
-        for (s, next) in applied_shards.into_iter().skip(1).enumerate() {
-            if let Some(next) = next {
-                self.shards[s] = next;
-            }
-        }
-        let (ed, staged) = staged
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .expect("staging task completed");
-
-        // merged publish: workers copy disjoint regions of the global
-        // CSR straight out of the shard CSRs (out-rows translated
-        // through `edge_global`, in-rows k-way merged back into global
-        // edge order) — byte-identical to the serial `apply_delta`
-        // result, at memcpy speed
-        let shard_graphs: Vec<Graph> = self
-            .shards
-            .iter()
-            .map(|s| s.state.graph().clone())
-            .collect();
-        let merge_start = Instant::now();
-        let graph = ed.finish_merged(&shard_graphs, &self.owners, &self.edge_global, pool);
-        if shared.tracer.is_enabled() {
-            shared.tracer.record(
-                Stage::MergePublish,
-                apply_id,
-                merge_start,
-                merge_start.elapsed(),
-                epoch,
-                format!(
-                    "shards={n} vertices={} edges={}",
-                    graph.vertex_count(),
-                    graph.edge_count()
-                ),
-            );
-        }
-        let applied = staged.into_applied(graph, g.clone());
-
-        // views refresh over the new global base through the refresh
-        // DAG: delta-driven per view, level-parallel across views on
-        // the pool, connector frontiers recomputed one task per shard
-        let partitioner = &*self.partitioner;
-        let part = |v: VertexId| partitioner.shard_of(v, applied.graph.vertex_type(v));
-        let (catalog, report) = RefreshDag::build(state.catalog()).refresh(
-            state.catalog(),
-            &applied,
-            &RefreshOptions {
-                partition: Some(Partition {
-                    part_of: &part,
-                    parts: n,
-                }),
-                exec: Some(pool),
-            },
-        );
-        let stats = GraphStats::merge(self.shards.iter().map(|s| s.state.stats()))
-            .unwrap_or_else(|| GraphStats::compute(&applied.graph));
-        let next = Snapshot::assemble(applied.graph, state.schema().clone(), stats, catalog);
-        (next, report)
-    }
-
-    /// Applies the global compaction `remap` (which produced
-    /// `compacted`, publishing at `epoch`) to every shard on the pool,
-    /// then compacts the ownership table through the same remap and
-    /// rebuilds the edge translation tables.
-    pub(crate) fn compact(
-        &mut self,
-        remap: &IdRemap,
-        compacted: &Graph,
-        epoch: u64,
-        pool: &WorkerPool,
-    ) {
-        let (shards, no_extids) = (&self.shards, &self.no_extids);
-        self.shards = pool.map(shards.len(), &|s| {
-            Arc::new(EpochSnapshot {
-                epoch,
-                state: shards[s].state.compact_with(remap),
-                extids: Arc::clone(no_extids),
-                shard_states: Vec::new(),
-            })
-        });
-        self.owners = self
-            .owners
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| remap.vertex(VertexId(i as u32)).is_some())
-            .map(|(_, &o)| o)
-            .collect();
-        self.rebuild_edge_global(compacted);
     }
 }
 
@@ -628,7 +300,7 @@ mod tests {
     use super::*;
     use kaskade_core::{ConnectorDef, DdlOp, Kaskade, VRef, ViewDef};
     use kaskade_datasets::{generate_provenance, ProvenanceConfig};
-    use kaskade_graph::{Graph, GraphBuilder, Schema, Value};
+    use kaskade_graph::{GraphBuilder, Schema, Value};
     use kaskade_query::{listings::LISTING_1, parse};
 
     fn instance(seed: u64) -> Kaskade {
@@ -638,14 +310,14 @@ mod tests {
         k
     }
 
-    /// A sharded engine that always scatters, so these tests exercise
-    /// the fan-out read path even on tiny graphs.
-    fn scatter_engine(k: &Kaskade, shards: usize) -> ShardedEngine {
-        ShardedEngine::with_config(
+    /// A partitioned engine that always scatters, so these tests
+    /// exercise the fan-out read path even on tiny graphs.
+    fn scatter_engine(k: &Kaskade, shards: usize) -> Engine {
+        Engine::with_config(
             k.snapshot(),
-            ShardedConfig {
+            EngineConfig {
                 scatter_min_vertices: 0,
-                ..ShardedConfig::hash(shards)
+                ..EngineConfig::hash(shards)
             },
         )
     }
@@ -710,16 +382,16 @@ mod tests {
                 "{shards} shards"
             );
             let snap = sharded.snapshot();
-            assert!(snap.is_coherent());
             assert!(crate::drive::snapshot_is_consistent(&snap.state));
         }
     }
 
     #[test]
     fn global_epoch_publishes_only_complete_batches() {
-        let engine = ShardedEngine::from_kaskade(&instance(92), 4);
+        let engine = Engine::with_config(instance(92).snapshot(), EngineConfig::hash(4));
         let mut reader = engine.reader();
         assert_eq!(reader.snapshot().epoch, 0);
+        let before = reader.snapshot().state.graph().vertex_count();
         let mut d = GraphDelta::new();
         let j = d.add_vertex("Job", vec![("CPU".into(), Value::Int(1))]);
         let f = d.add_vertex("File", vec![]);
@@ -729,16 +401,11 @@ mod tests {
         assert!(epoch >= 1);
         let snap = reader.snapshot();
         assert_eq!(snap.epoch, epoch);
-        assert!(snap.is_coherent(), "all shard states from one publish");
-        // the broadcast vertices exist on every shard, ghost except on
-        // their owner
-        let new_job = VertexId((snap.state.graph().vertex_slots() - 2) as u32);
-        let owners: Vec<bool> = snap
-            .shard_states
-            .iter()
-            .map(|s| !s.state.graph().is_vertex_ghost(new_job))
-            .collect();
-        assert_eq!(owners.iter().filter(|&&o| o).count(), 1);
+        // both vertices and their edge land in the same publish
+        let g = snap.state.graph();
+        assert_eq!(g.vertex_count(), before + 2);
+        let new_job = VertexId((g.vertex_slots() - 2) as u32);
+        assert_eq!(g.out_degree(new_job), 1);
     }
 
     #[test]
@@ -772,20 +439,15 @@ mod tests {
         );
         let snap = engine.snapshot();
         assert_eq!(snap.state.graph().edge_count(), 0);
-        assert!(snap.is_coherent());
-        // every shard cascaded its local incident edges
-        let shard_edges: usize = snap
-            .shard_states
-            .iter()
-            .map(|s| s.state.graph().edge_count())
-            .sum();
-        assert_eq!(shard_edges, 0);
-        assert_eq!(engine.metrics().global.retractions_applied, 1);
+        let view = snap.state.catalog().get("connector:JOB_TO_JOB_2_HOP");
+        assert_eq!(view.unwrap().graph.edge_count(), 0);
+        assert_eq!(engine.metrics().retractions_applied, 1);
     }
 
     #[test]
-    fn invalid_deltas_rejected_before_the_split() {
-        let engine = ShardedEngine::from_kaskade(&instance(93), 3);
+    fn invalid_deltas_are_rejected_with_partitions() {
+        let engine = Engine::with_config(instance(93).snapshot(), EngineConfig::hash(3));
+        let epoch = engine.epoch();
         // dangling base reference: dropped by the writer at apply time
         let mut dangling = GraphDelta::new();
         let v = dangling.add_vertex("File", vec![]);
@@ -793,9 +455,9 @@ mod tests {
         engine.submit(dangling, SubmitOpts::default()).unwrap();
         engine.flush();
         let m = engine.metrics();
-        assert_eq!(m.global.deltas_rejected, 1);
-        // no shard ever saw the bad delta
-        assert!(m.per_shard.iter().all(|s| s.deltas_rejected == 0));
+        assert_eq!(m.deltas_rejected, 1);
+        assert_eq!(m.batches_published, 0);
+        assert_eq!(engine.epoch(), epoch, "nothing published");
         assert_eq!(engine.queue_depth(), 0);
     }
 
@@ -806,36 +468,24 @@ mod tests {
         for _ in 0..4 {
             engine.execute(&q).unwrap();
         }
-        let m = engine.metrics().global;
+        let m = engine.metrics();
         assert_eq!(m.queries, 4);
         assert_eq!(m.plan_cache_misses, 1);
         assert_eq!(m.plan_cache_hits, 3);
     }
 
     #[test]
-    fn sharded_metrics_display_lists_shards() {
-        let engine = ShardedEngine::from_kaskade(&instance(95), 2);
-        let mut d = GraphDelta::new();
-        d.add_vertex("Job", vec![]);
-        engine.submit(d, SubmitOpts::default()).unwrap();
-        engine.flush();
-        let text = engine.metrics().to_string();
-        assert!(text.contains("shard 0"), "{text}");
-        assert!(text.contains("shard 1"), "{text}");
-    }
-
-    #[test]
     fn type_partitioned_engine_stays_equivalent() {
         let k = instance(96);
         let single = Engine::from_kaskade(&k);
-        let sharded = ShardedEngine::with_config(
+        let sharded = Engine::with_config(
             k.snapshot(),
-            ShardedConfig {
+            EngineConfig {
                 partitioner: Arc::new(TypePartitioner::new(3)),
                 max_batch: 8,
                 queue_capacity: 64,
                 scatter_min_vertices: 0,
-                ..ShardedConfig::hash(3)
+                ..EngineConfig::default()
             },
         );
         let query = parse(LISTING_1).unwrap();
@@ -851,15 +501,16 @@ mod tests {
             single.execute(&query).unwrap(),
             sharded.execute(&query).unwrap()
         );
-        assert!(sharded.snapshot().is_coherent());
+        assert!(crate::drive::snapshot_is_consistent(
+            &sharded.snapshot().state
+        ));
     }
 
     #[test]
-    fn coordinated_compaction_keeps_shards_aligned_and_coherent() {
-        // a chain graph churned with delete-then-reinsert turnover:
-        // the writer must compact the global graph AND every shard
-        // with one shared remap, keeping shard slots equal to global
-        // slots and scatter/gather reads correct throughout
+    fn compaction_keeps_partitioned_reads_correct() {
+        // a chain graph churned with delete-then-reinsert turnover: the
+        // writer compacts the one graph, and scatter/gather reads stay
+        // correct across the renumbering
         let mut b = GraphBuilder::new();
         let vs: Vec<VertexId> = (0..24).map(|_| b.add_vertex("Job")).collect();
         for w in vs.windows(2) {
@@ -867,11 +518,11 @@ mod tests {
         }
         let g = b.finish();
         let live = g.vertex_count() + g.edge_count();
-        let engine = ShardedEngine::with_config(
+        let engine = Engine::with_config(
             Snapshot::new(g, Schema::provenance()),
-            ShardedConfig {
+            EngineConfig {
                 scatter_min_vertices: 0,
-                ..ShardedConfig::hash(3)
+                ..EngineConfig::hash(3)
             },
         );
         let q =
@@ -897,19 +548,14 @@ mod tests {
             engine.flush();
         }
         let report = engine.metrics();
-        assert!(report.global.compactions_run >= 1, "{report:?}");
-        assert!(report.global.slots_reclaimed > 0);
-        assert_eq!(report.global.deltas_rejected, 0, "{report:?}");
+        assert!(report.compactions_run >= 1, "{report:?}");
+        assert!(report.slots_reclaimed > 0);
+        assert_eq!(report.deltas_rejected, 0, "{report:?}");
         let snap = engine.snapshot();
-        assert!(snap.is_coherent());
         let g = snap.state.graph();
         assert_eq!(g.vertex_count() + g.edge_count(), live);
         let capacity = g.vertex_slots() + g.edge_slots();
         assert!(capacity <= 2 * live, "capacity {capacity} vs live {live}");
-        // shard slots stayed aligned with the global graph's
-        for state in &snap.shard_states {
-            assert_eq!(state.state.graph().vertex_slots(), g.vertex_slots());
-        }
         // scatter/gather answers are unchanged by the renumbering
         assert_eq!(engine.execute(&q).unwrap(), expected);
         assert!(crate::drive::snapshot_is_consistent(&snap.state));
@@ -926,9 +572,7 @@ mod tests {
         engine.flush();
         let snap = engine.snapshot();
         assert_eq!(snap.epoch, epoch0 + 1, "a DDL publishes its own epoch");
-        assert!(snap.is_coherent(), "DDL reuses the current shard states");
         let created = snap.state.catalog().get(&def.id()).expect("view created");
-        // materialized over the GLOBAL graph, not a shard fragment
         let mut scratch = Kaskade::new(snap.state.graph().clone(), Schema::provenance());
         scratch.materialize_view(def.clone());
         let scratch_view = scratch.snapshot().catalog().get(&def.id()).unwrap().clone();
@@ -938,7 +582,6 @@ mod tests {
         engine.flush();
         let snap = engine.snapshot();
         assert_eq!(snap.epoch, epoch0 + 2);
-        assert!(snap.is_coherent());
         assert_eq!(
             snap.state.catalog().slot_count(),
             2,
@@ -946,8 +589,8 @@ mod tests {
         );
         assert!(snap.state.catalog().get_by_id(ViewId(0)).is_none());
         let m = engine.metrics();
-        assert_eq!(m.global.views_created, 1);
-        assert_eq!(m.global.views_dropped, 1);
+        assert_eq!(m.views_created, 1);
+        assert_eq!(m.views_dropped, 1);
 
         // writes keep flowing and refresh the post-DDL catalog
         let mut d = GraphDelta::new();
@@ -957,35 +600,18 @@ mod tests {
         engine.submit(d, SubmitOpts::default()).unwrap();
         engine.flush();
         let snap = engine.snapshot();
-        assert!(snap.is_coherent());
         assert!(crate::drive::snapshot_is_consistent(&snap.state));
-    }
-
-    #[test]
-    fn shard_bootstrap_partitions_the_initial_graph() {
-        let k = instance(97);
-        let engine = ShardedEngine::from_kaskade(&k, 4);
-        let snap = engine.snapshot();
-        assert_eq!(snap.epoch, 0);
-        assert!(snap.is_coherent());
-        let global: &Graph = snap.state.graph();
-        let shard_edges: usize = snap
-            .shard_states
-            .iter()
-            .map(|s| s.state.graph().edge_count())
-            .sum();
-        assert_eq!(shard_edges, global.edge_count());
     }
 
     #[test]
     fn sharded_commit_is_queued_and_published_once() {
         let tracer = Arc::new(Tracer::new(true));
-        let engine = ShardedEngine::with_config(
+        let engine = Engine::with_config(
             instance(99).snapshot(),
-            ShardedConfig {
+            EngineConfig {
                 tracer: Some(Arc::clone(&tracer)),
                 compact_dead_ratio: f64::INFINITY,
-                ..ShardedConfig::hash(2)
+                ..EngineConfig::hash(2)
             },
         );
         let n = 6u64;
@@ -996,27 +622,31 @@ mod tests {
             engine.flush();
         }
         let events = tracer.dump();
-        for stage in [Stage::WriteBatch, Stage::QueueWait, Stage::Publish] {
+        for stage in [
+            Stage::WriteBatch,
+            Stage::QueueWait,
+            Stage::Apply,
+            Stage::Publish,
+        ] {
             let count = events.iter().filter(|e| e.stage == stage).count() as u64;
             assert_eq!(count, n, "{stage} events:\n{}", tracer.render_dump());
         }
         // one end-to-end apply sample per published batch
-        let m = engine.metrics().global;
-        assert_eq!(m.batches_published, n);
+        assert_eq!(engine.metrics().batches_published, n);
         assert_eq!(engine.metrics_handle().apply_latency().count(), n);
     }
 
     #[test]
-    fn one_partition_publishes_no_shard_states_and_reads_inline() {
-        let engine = ShardedEngine::new(instance(100).snapshot(), 1);
+    fn one_partition_reads_inline() {
+        // even with no scatter threshold, one partition never fans out
+        let engine = Engine::with_config(
+            instance(100).snapshot(),
+            EngineConfig {
+                scatter_min_vertices: 0,
+                ..EngineConfig::default()
+            },
+        );
         assert_eq!(engine.shard_count(), 1);
-        let mut d = GraphDelta::new();
-        d.add_vertex("Job", vec![]);
-        engine.submit(d, SubmitOpts::default()).unwrap();
-        engine.flush();
-        let snap = engine.snapshot();
-        assert!(snap.shard_states.is_empty());
-        assert!(snap.is_coherent(), "vacuously coherent");
         let dispatches = engine.pool().dispatches();
         let query = parse(LISTING_1).unwrap();
         for _ in 0..3 {

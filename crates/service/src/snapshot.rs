@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use kaskade_core::Snapshot;
-use kaskade_graph::{ExternalIdTable, GraphStats};
+use kaskade_graph::ExternalIdTable;
 
 /// An immutable published state: the core read state (base graph, view
 /// catalog, statistics) tagged with the epoch that produced it. Epoch 0
@@ -30,34 +30,6 @@ pub struct EpochSnapshot {
     /// <ext>` anchors resolve through. Shared, not copied: the writer
     /// clones the table only on epochs that changed it.
     pub extids: Arc<ExternalIdTable>,
-    /// The partitions this state was assembled from, one catalog-free
-    /// shard state (shard CSR + owned-vertex statistics) per partition;
-    /// empty when the engine runs a single partition. Captured with the
-    /// global state in one publish, so a reader can never mix shard
-    /// states from two publishes. A shard state's `epoch` is the
-    /// global epoch that last changed it.
-    pub shard_states: Vec<Arc<EpochSnapshot>>,
-}
-
-impl EpochSnapshot {
-    /// Whether this snapshot is internally coherent — the *structural*
-    /// torn-publish detector: the shard edge partitions sum to the
-    /// global edge count, shard-owned vertices sum to the global
-    /// vertex count, and the merged per-shard statistics equal the
-    /// global statistics. A shard state from a different publish breaks
-    /// these sums for any batch that changed that shard. Vacuously true
-    /// for an unpartitioned snapshot.
-    pub fn is_coherent(&self) -> bool {
-        if self.shard_states.is_empty() {
-            return true;
-        }
-        let graphs = || self.shard_states.iter().map(|s| s.state.graph());
-        let g = self.state.graph();
-        graphs().map(|s| s.edge_count()).sum::<usize>() == g.edge_count()
-            && graphs().map(|s| s.owned_vertex_count()).sum::<usize>() == g.vertex_count()
-            && GraphStats::merge(self.shard_states.iter().map(|s| s.state.stats()))
-                .is_some_and(|merged| merged == *self.state.stats())
-    }
 }
 
 /// The single-writer, many-reader publication point.
@@ -73,14 +45,12 @@ pub struct SnapshotCell {
 }
 
 impl SnapshotCell {
-    /// Publishes `state` as epoch 0 with no external-id bindings and a
-    /// single partition.
+    /// Publishes `state` as epoch 0 with no external-id bindings.
     pub fn new(state: Snapshot) -> Self {
         Self::with_snapshot(EpochSnapshot {
             epoch: 0,
             state,
             extids: Arc::new(ExternalIdTable::new()),
-            shard_states: Vec::new(),
         })
     }
 
@@ -105,23 +75,16 @@ impl SnapshotCell {
         self.slot.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Atomically publishes `state` (with the shard states it was
-    /// assembled from) as the next epoch and returns it. The slot is
+    /// Atomically publishes `state` as the next epoch and returns it. The slot is
     /// swapped before the epoch counter is bumped, so a reader that
     /// observes the new epoch always loads the new slot.
-    pub(crate) fn publish(
-        &self,
-        state: Snapshot,
-        extids: Arc<ExternalIdTable>,
-        shard_states: Vec<Arc<EpochSnapshot>>,
-    ) -> u64 {
+    pub(crate) fn publish(&self, state: Snapshot, extids: Arc<ExternalIdTable>) -> u64 {
         let mut slot = self.slot.write().unwrap_or_else(|e| e.into_inner());
         let epoch = slot.epoch + 1;
         *slot = Arc::new(EpochSnapshot {
             epoch,
             state,
             extids,
-            shard_states,
         });
         self.epoch.store(epoch, Ordering::Release);
         epoch
@@ -169,7 +132,7 @@ mod tests {
         let cell = SnapshotCell::new(empty_state());
         assert_eq!(cell.epoch(), 0);
         assert_eq!(cell.load().epoch, 0);
-        let e = cell.publish(empty_state(), Arc::new(ExternalIdTable::new()), Vec::new());
+        let e = cell.publish(empty_state(), Arc::new(ExternalIdTable::new()));
         assert_eq!(e, 1);
         assert_eq!(cell.epoch(), 1);
         assert_eq!(cell.load().epoch, 1);
@@ -190,7 +153,7 @@ mod tests {
         assert!(poisoner.is_err(), "the poisoning thread panicked");
         assert_eq!(cell.load().epoch, 0);
         assert_eq!(
-            cell.publish(empty_state(), Arc::new(ExternalIdTable::new()), Vec::new()),
+            cell.publish(empty_state(), Arc::new(ExternalIdTable::new())),
             1
         );
         assert_eq!(cell.load().epoch, 1);
@@ -203,7 +166,7 @@ mod tests {
         let first = Arc::clone(r.snapshot());
         // unchanged epoch: the very same Arc is reused
         assert!(Arc::ptr_eq(&first, r.snapshot()));
-        cell.publish(empty_state(), Arc::new(ExternalIdTable::new()), Vec::new());
+        cell.publish(empty_state(), Arc::new(ExternalIdTable::new()));
         let second = Arc::clone(r.snapshot());
         assert!(!Arc::ptr_eq(&first, &second));
         assert_eq!(second.epoch, 1);

@@ -47,9 +47,9 @@ pub enum Stage {
     WriteBatch,
     /// Write path: applying the batched delta to the base graph.
     Apply,
-    /// Write path (sharded): assembling the merged global graph from
-    /// the shard CSRs on the worker pool (replaces the serial re-apply;
-    /// child of `WriteBatch`).
+    /// Retired: the merged publish from per-shard graph copies. Nothing
+    /// emits it; the name stays because existing span consumers match
+    /// on it.
     MergePublish,
     /// A batch of tasks dispatched to the persistent worker pool
     /// (detail = task count).
@@ -74,7 +74,7 @@ pub enum Stage {
     PlanCacheLookup,
     /// Read path: planning a cache miss (enumeration + rewrite).
     Plan,
-    /// Read path: one shard's scatter leg (detail = shard index).
+    /// Read path: one partition's scatter leg (detail = partition index).
     Scatter,
     /// Read path: gathering and deduplicating scatter results.
     Gather,
@@ -84,7 +84,7 @@ pub enum Stage {
     /// relational stage over its rows (child of `Query`).
     Relational,
     /// Read path: the pattern match that feeds the relational stage
-    /// (child of `Relational`; on a sharded engine, the parent of the
+    /// (child of `Relational`; on a partitioned engine, the parent of the
     /// scatter legs, pool dispatch and gather).
     PatternMatch,
     /// A query that crossed the slow-query threshold (detail =
@@ -219,7 +219,7 @@ impl Ring {
 }
 
 /// The tracing subsystem: span factory, flight recorder, slow-query
-/// threshold. One per serving engine (shards share the coordinator's).
+/// threshold. One per serving engine.
 pub struct Tracer {
     enabled: AtomicBool,
     origin: Instant,
@@ -454,10 +454,15 @@ impl<'a> Span<'a> {
 
     /// Starts a child span of the same tracer (explicit parenting — no
     /// thread-local context, so children can be created on any thread).
+    /// The child starts with the parent's epoch.
     #[inline]
     pub fn child(&self, stage: Stage) -> Span<'a> {
         match self.tracer {
-            Some(t) => t.span_always(stage, self.id, String::new()),
+            Some(t) => {
+                let mut child = t.span_always(stage, self.id, String::new());
+                child.epoch = self.epoch;
+                child
+            }
             None => Span::disabled(),
         }
     }

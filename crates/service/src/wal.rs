@@ -5,9 +5,8 @@
 //! The design follows the classic group-commit WAL shape, specialized
 //! to Kaskade's single-writer publish loop:
 //!
-//! - **One record per merged batch.** The engine writer (and the
-//!   sharded coordinator) already merge queued deltas into one
-//!   [`GraphDelta`] per publish; the WAL logs that merged delta once,
+//! - **One record per merged batch.** The engine writer already
+//!   merges queued deltas into one [`GraphDelta`] per publish; the WAL logs that merged delta once,
 //!   tagged with the epoch it will publish as. Group commit therefore
 //!   costs one `write` + optional `fsync` per *epoch*, not per
 //!   submitted delta.

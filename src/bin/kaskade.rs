@@ -20,9 +20,9 @@
 //!   --duration-ms N run the serving loop this long  (default 2000)
 //!   --write-every-ms N  delta cadence; 0 = no writer (default 2)
 //!   --workload W    append | churn | hotkey | burst (default append)
-//!   --shards N      partition the graph over N shards (default 1)
+//!   --shards N      split reads and refresh work over N partitions (default 1)
 //!   --pool-threads N    worker threads in the persistent scatter /
-//!                       merge / refresh pool (default 0 = cores - 1)
+//!                       refresh pool (default 0 = cores - 1)
 //!   --compact-ratio F   dead-slot fraction triggering slot compaction
 //!                       (default 0.5)
 //!   --expect-compaction fail unless the run compacted and ended with
@@ -88,10 +88,9 @@
 //! N reader threads loop the workload while a writer streams scripted
 //! schema-valid deltas; on exit it prints the engine metrics (reads/s,
 //! latency quantiles, plan-cache hit rate, refresh lag). With
-//! `--shards N > 1` the engine partitions the base graph across N
-//! shards applied in parallel on its worker pool, with scatter/gather
-//! reads — same results, parallel write path — and per-shard apply
-//! metrics are printed too.
+//! `--shards N > 1` the engine splits pattern-match anchor scans and
+//! connector refresh frontiers into N partitions on its worker pool —
+//! same graph, same write path, same results.
 //!
 //! Examples:
 //!
@@ -110,8 +109,8 @@ use kaskade::core::{Kaskade, SelectionConfig};
 use kaskade::datasets::Dataset;
 use kaskade::query::{listings, parse, Query, Table};
 use kaskade::service::{
-    drive, per_shard_lines, Advisor, AdvisorConfig, DriveConfig, DriveOutcome, Engine,
-    EngineConfig, MetricsServer, Tracer, WalConfig, Workload,
+    drive, Advisor, AdvisorConfig, DriveConfig, DriveOutcome, Engine, EngineConfig, MetricsServer,
+    Tracer, WalConfig, Workload,
 };
 
 fn usage() -> ExitCode {
@@ -730,9 +729,6 @@ fn cmd_serve(dataset: Dataset, mut c: CommonArgs) -> ExitCode {
     println!("{}", outcome.report);
     let (capacity, live) = slots;
     println!("id slots           {capacity} capacity / {live} live");
-    if shards > 1 {
-        print!("{}", per_shard_lines(&engine.shard_reports()));
-    }
     if c.stats_json {
         println!("{}", outcome_json(&outcome, &tracer, counts));
     }

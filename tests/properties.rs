@@ -443,7 +443,7 @@ proptest! {
     /// observationally identical to the unsharded [`Engine`] — every
     /// query result is byte-identical (vertex ids, aggregates, and row
     /// order included), every maintained view materializes to the same
-    /// graph, and the merged per-shard statistics equal both the
+    /// graph, and the partitioned engine's statistics equal both the
     /// single engine's incremental statistics and an exact
     /// `GraphStats::compute`.
     #[test]
@@ -524,7 +524,6 @@ proptest! {
 
         let single_snap = single.snapshot();
         let sharded_snap = sharded.snapshot();
-        prop_assert!(sharded_snap.is_coherent(), "torn sharded snapshot");
 
         // every query result is byte-identical (scatter/gather included)
         for q in [
@@ -562,7 +561,7 @@ proptest! {
             prop_assert_eq!(fp(&view.graph), fp(&other.graph), "view {} diverged", view.def.id());
         }
 
-        // merged per-shard statistics equal the single engine's
+        // the partitioned engine's statistics equal the single engine's
         // incremental statistics, and both equal an exact recompute
         prop_assert_eq!(single_snap.state.stats(), sharded_snap.state.stats());
         prop_assert_eq!(
@@ -571,26 +570,23 @@ proptest! {
         );
     }
 
-    /// THE merged-publish acceptance property: a partitioned engine
-    /// does not re-run `apply_delta` over the global graph — it stages
-    /// the batch's mutations and assembles the published CSR from the
-    /// shard CSRs in parallel. For any schema-valid churn sequence and
-    /// any shard count in {1, 2, 3, 8}, the graph published after
-    /// **every** batch must be structurally identical to the serial
-    /// `apply_delta` result the unsharded engine publishes: same id
-    /// slots, same liveness/ghost/type per slot, same properties, same
+    /// For any schema-valid churn sequence and any partition count in
+    /// {1, 2, 3, 8}, the graph a partitioned engine publishes after
+    /// **every** batch is structurally identical to the serial
+    /// `apply_delta` result the unpartitioned engine publishes: same id
+    /// slots, same liveness/type per slot, same properties, same
     /// adjacency arrays in the same order (`same_dense_graph` is the
     /// field-by-field oracle).
     #[test]
-    fn merged_publish_is_identical_to_serial_apply(
+    fn partitioned_publish_is_identical_to_serial_apply(
         g in lineage_graph(12),
         ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..10),
         shard_sel in 0usize..4,
     ) {
         let shards = [1usize, 2, 3, 8][shard_sel];
         let mut k = Kaskade::new(g, Schema::provenance());
-        // a maintained view keeps the pool-backed refresh path in the
-        // loop while the merge runs
+        // a maintained view keeps the partitioned refresh path in the
+        // loop
         k.materialize_view(ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 2)));
         let single = Engine::from_kaskade(&k);
         let sharded = ShardedEngine::with_config(
@@ -612,14 +608,14 @@ proptest! {
             single.flush();
             sharded.flush();
             // compare after every single publish, not just the last:
-            // a merge bug that a later batch happens to paper over
+            // a bug that a later batch happens to paper over
             // (e.g. via tombstones) must still be caught
             let a = single.snapshot();
             let b = sharded.snapshot();
             if let Err(why) = same_dense_graph(a.state.graph(), b.state.graph()) {
                 prop_assert!(
                     false,
-                    "merged publish diverged from serial apply over {} shards: {}",
+                    "partitioned publish diverged from serial apply over {} shards: {}",
                     shards,
                     why
                 );
@@ -684,7 +680,6 @@ proptest! {
 
         let single_snap = single.snapshot();
         let sharded_snap = sharded.snapshot();
-        prop_assert!(sharded_snap.is_coherent(), "torn sharded snapshot");
         // every view of every variant equals scratch, stats exact
         prop_assert!(kaskade::service::snapshot_is_consistent(&single_snap.state));
         prop_assert!(kaskade::service::snapshot_is_consistent(&sharded_snap.state));
@@ -791,10 +786,10 @@ proptest! {
 
     /// THE compaction acceptance property (sharded half): under
     /// delete/reinsert turnover aggressive enough to force several
-    /// compactions, a compacting `ShardedEngine` (shard counts {1, 4},
-    /// coordinated per-shard ghost compaction) stays byte-identical to
-    /// the compacting single `Engine` — query results including vertex
-    /// ids and row order, maintained views, merged statistics — and
+    /// compactions, a compacting `ShardedEngine` (shard counts {1, 4})
+    /// stays byte-identical to the compacting single `Engine` — query
+    /// results including vertex ids and row order, maintained views,
+    /// statistics — and
     /// both pass the absolute from-scratch oracle after every flush
     /// window.
     #[test]
@@ -863,7 +858,6 @@ proptest! {
 
         let single_snap = single.snapshot();
         let sharded_snap = sharded.snapshot();
-        prop_assert!(sharded_snap.is_coherent(), "torn sharded snapshot");
         prop_assert!(kaskade::service::snapshot_is_consistent(&single_snap.state));
         prop_assert!(kaskade::service::snapshot_is_consistent(&sharded_snap.state));
 
@@ -980,7 +974,6 @@ proptest! {
         let oracle_snap = oracle.snapshot();
 
         let sharded_snap = sharded.snapshot();
-        prop_assert!(sharded_snap.is_coherent(), "torn sharded snapshot");
         for snap in [&final_snap.state, &sharded_snap.state] {
             // base graphs identical slot for slot
             if let Err(why) = same_dense_graph(oracle_snap.state.graph(), snap.graph()) {
