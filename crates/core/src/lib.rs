@@ -39,6 +39,7 @@ mod enumerate;
 mod facts;
 pub mod maintain;
 mod materialize;
+mod memo;
 pub mod persist;
 mod refresh;
 mod rewrite;
@@ -57,6 +58,7 @@ pub use maintain::{
     VRef,
 };
 pub use materialize::materialize;
+pub use memo::EnumerationMemo;
 pub use refresh::{
     ComposedMaintainer, ConnectorMaintainer, Partition, RefreshCtx, RefreshDag, RefreshOptions,
     RefreshReport, Refreshed, SourceSinkMaintainer, SummarizerMaintainer, Upstream, ViewDelta,
@@ -74,6 +76,8 @@ pub use snapshot::Snapshot;
 pub use views::{
     AggOp, ComposedDef, ConnectorDef, PropPredicate, SourceSinkDef, SummarizerDef, ViewDef,
 };
+
+use std::sync::Arc;
 
 use kaskade_graph::{Graph, GraphStats, Schema};
 use kaskade_query::{ExecError, Query, Table};
@@ -154,8 +158,12 @@ impl Kaskade {
         self.snap.catalog()
     }
 
-    /// Enumerates view candidates for one query (§IV).
-    pub fn enumerate(&self, query: &Query) -> Result<Enumeration, kaskade_prolog::PrologError> {
+    /// Enumerates view candidates for one query (§IV), memoized per
+    /// pattern; see [`Snapshot::enumerate`].
+    pub fn enumerate(
+        &self,
+        query: &Query,
+    ) -> Result<Arc<Enumeration>, kaskade_prolog::PrologError> {
         self.snap.enumerate(query)
     }
 
@@ -175,13 +183,7 @@ impl Kaskade {
         workload: &[Query],
         cfg: &SelectionConfig,
     ) -> SelectionReport {
-        let result = select_views(
-            &self.snap.graph,
-            &self.snap.stats,
-            &self.snap.schema,
-            workload,
-            cfg,
-        );
+        let result = self.snap.select_views(workload, cfg);
         let mut materialized = Vec::new();
         for def in result.chosen() {
             materialized.push(self.materialize_view(def.clone()));

@@ -12,7 +12,8 @@ use kaskade_graph::{Graph, GraphStats, Schema};
 use kaskade_query::Query;
 
 use crate::cost::{creation_cost, estimate_view_size, traversal_cost};
-use crate::enumerate::{enumerate_views, Candidate};
+use crate::enumerate::Candidate;
+use crate::memo::EnumerationMemo;
 use crate::rewrite::rewrite_over_connector;
 use crate::views::ViewDef;
 
@@ -155,7 +156,10 @@ impl SelectionResult {
 
 /// Runs §V-B view selection: enumerate candidates for each workload
 /// query, score them (improvement per creation cost), and solve the
-/// knapsack under `cfg.budget_edges`.
+/// knapsack under `cfg.budget_edges`. Queries sharing a pattern (a
+/// workload that repeats a shape, or varies only its aliases and outer
+/// levels) are enumerated once; [`crate::Snapshot::select_views`] also
+/// reuses the snapshot lineage's memo across calls.
 pub fn select_views(
     g: &Graph,
     stats: &GraphStats,
@@ -163,11 +167,24 @@ pub fn select_views(
     workload: &[Query],
     cfg: &SelectionConfig,
 ) -> SelectionResult {
+    select_views_with(g, stats, schema, workload, cfg, &EnumerationMemo::new())
+}
+
+/// [`select_views`] enumerating through `memo`, which must only ever
+/// have seen `schema`.
+pub(crate) fn select_views_with(
+    g: &Graph,
+    stats: &GraphStats,
+    schema: &Schema,
+    workload: &[Query],
+    cfg: &SelectionConfig,
+    memo: &EnumerationMemo,
+) -> SelectionResult {
     // gather candidates per query, keyed by lowered view def
     let mut defs: Vec<ViewDef> = Vec::new();
     let mut per_def_improvement: Vec<f64> = Vec::new();
     for q in workload {
-        let Ok(enumeration) = enumerate_views(q, schema) else {
+        let Ok((enumeration, _)) = memo.get_or_enumerate(q, schema) else {
             continue;
         };
         let base_cost = traversal_cost(g.edge_count() as f64, q);

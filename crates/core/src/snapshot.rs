@@ -13,16 +13,27 @@
 //! *functional* [`Snapshot::with_delta`], which returns the successor
 //! state without touching the original — the primitive behind snapshot
 //! isolation.
+//!
+//! Every snapshot derived from one root — by `clone`, `with_delta`,
+//! `apply_ddl` or `compact`, none of which touch the schema — shares
+//! that root's [`EnumerationMemo`], so view enumeration (§IV) runs once
+//! per query pattern for the whole lineage and a plan miss only
+//! re-filters and re-costs. [`Snapshot::new`] and
+//! [`Snapshot::assemble`] start a fresh memo.
+
+use std::sync::Arc;
 
 use kaskade_graph::{Graph, GraphStats, IdRemap, Schema};
 use kaskade_query::{execute as execute_query, Query, Table};
 
 use crate::catalog::{Catalog, DdlOp, MaterializedView};
 use crate::maintain::{self, GraphDelta};
+use crate::memo::EnumerationMemo;
 use crate::refresh::{RefreshDag, RefreshOptions, RefreshReport};
 use crate::rewrite::rewrite_over_connector;
+use crate::selection::{select_views_with, SelectionConfig, SelectionResult};
 use crate::views::ViewDef;
-use crate::{cost, enumerate_views, Candidate, Enumeration, KaskadeError, PlannedQuery};
+use crate::{cost, Candidate, Enumeration, KaskadeError, PlannedQuery};
 
 /// An immutable, cheaply cloneable view of a Kaskade instance: base
 /// graph, schema, statistics, and the materialized-view catalog, plus
@@ -37,6 +48,8 @@ pub struct Snapshot {
     pub(crate) schema: Schema,
     pub(crate) stats: GraphStats,
     pub(crate) catalog: Catalog,
+    /// The lineage's enumeration memo (see the [module docs](self)).
+    memo: Arc<EnumerationMemo>,
 }
 
 impl Snapshot {
@@ -44,12 +57,7 @@ impl Snapshot {
     /// degree statistics the cost model maintains (§V-A).
     pub fn new(graph: Graph, schema: Schema) -> Self {
         let stats = GraphStats::compute(&graph);
-        Snapshot {
-            graph,
-            schema,
-            stats,
-            catalog: Catalog::new(),
-        }
+        Snapshot::assemble(graph, schema, stats, Catalog::new())
     }
 
     /// Assembles a snapshot from pre-built parts, trusting the caller
@@ -57,13 +65,26 @@ impl Snapshot {
     /// faithful materialization over it (checkpoint decoding, and
     /// callers that run the apply, refresh and statistics steps
     /// themselves) — `snapshot_is_consistent` in `kaskade-service`
-    /// verifies the trust at the oracle level.
+    /// verifies the trust at the oracle level. The snapshot starts a
+    /// fresh enumeration memo.
     pub fn assemble(graph: Graph, schema: Schema, stats: GraphStats, catalog: Catalog) -> Self {
         Snapshot {
             graph,
             schema,
             stats,
             catalog,
+            memo: Arc::default(),
+        }
+    }
+
+    /// The successor state sharing this snapshot's schema and memo.
+    fn successor(&self, graph: Graph, stats: GraphStats, catalog: Catalog) -> Snapshot {
+        Snapshot {
+            graph,
+            schema: self.schema.clone(),
+            stats,
+            catalog,
+            memo: Arc::clone(&self.memo),
         }
     }
 
@@ -87,22 +108,49 @@ impl Snapshot {
         &self.catalog
     }
 
-    /// Enumerates view candidates for one query (§IV).
-    pub fn enumerate(&self, query: &Query) -> Result<Enumeration, kaskade_prolog::PrologError> {
-        enumerate_views(query, &self.schema)
+    /// The enumeration memo this snapshot's lineage shares.
+    pub fn enumeration_memo(&self) -> &Arc<EnumerationMemo> {
+        &self.memo
+    }
+
+    /// Enumerates view candidates for one query (§IV), through the
+    /// lineage's memo.
+    pub fn enumerate(
+        &self,
+        query: &Query,
+    ) -> Result<Arc<Enumeration>, kaskade_prolog::PrologError> {
+        self.enumerate_memoized(query).map(|(e, _)| e)
+    }
+
+    /// [`Snapshot::enumerate`], also saying whether the memo already
+    /// held the query's pattern (`true`) or the enumerator ran.
+    pub fn enumerate_memoized(
+        &self,
+        query: &Query,
+    ) -> Result<(Arc<Enumeration>, bool), kaskade_prolog::PrologError> {
+        self.memo.get_or_enumerate(query, &self.schema)
     }
 
     /// §V-C: view-based query rewriting. Enumerates candidates for the
-    /// query, keeps those whose views are materialized, and returns the
-    /// plan (original or rewritten) with the lowest estimated cost.
+    /// query (memoized per pattern), keeps those whose views are
+    /// materialized, and returns the plan (original or rewritten) with
+    /// the lowest estimated cost.
     pub fn plan(&self, query: &Query) -> Result<PlannedQuery, kaskade_prolog::PrologError> {
+        let enumeration = self.enumerate(query)?;
+        Ok(self.plan_with(query, &enumeration))
+    }
+
+    /// The post-enumeration half of [`Snapshot::plan`]: filters
+    /// `enumeration`'s candidates against this snapshot's catalog,
+    /// rewrites the query over each materialized connector, and keeps
+    /// the cheapest plan. `enumeration` must be the query's own.
+    pub fn plan_with(&self, query: &Query, enumeration: &Enumeration) -> PlannedQuery {
         let base_cost = cost::traversal_cost(self.graph.edge_count() as f64, query);
         let mut best = PlannedQuery {
             query: query.clone(),
             view_id: None,
             estimated_cost: base_cost,
         };
-        let enumeration = self.enumerate(query)?;
         for cand in &enumeration.candidates {
             let (x, y) = match cand {
                 Candidate::KHopConnector { x, y, .. }
@@ -130,7 +178,21 @@ impl Snapshot {
                 };
             }
         }
-        Ok(best)
+        best
+    }
+
+    /// §V-B view selection ([`crate::select_views`]) over this
+    /// snapshot's graph, statistics and schema, enumerating each
+    /// workload pattern through the lineage's memo.
+    pub fn select_views(&self, workload: &[Query], cfg: &SelectionConfig) -> SelectionResult {
+        select_views_with(
+            &self.graph,
+            &self.stats,
+            &self.schema,
+            workload,
+            cfg,
+            &self.memo,
+        )
     }
 
     /// Executes an already-planned query against this snapshot's graph
@@ -203,15 +265,7 @@ impl Snapshot {
                 applied.graph.edge_count(),
             )
             .unwrap_or_else(|| GraphStats::compute(&applied.graph));
-        (
-            Snapshot {
-                graph: applied.graph,
-                schema: self.schema.clone(),
-                stats,
-                catalog,
-            },
-            report,
-        )
+        (self.successor(applied.graph, stats, catalog), report)
     }
 
     /// Applies a catalog-mutation operation (live DDL) and returns the
@@ -232,12 +286,7 @@ impl Snapshot {
                 catalog.drop_view(*id);
             }
         }
-        Snapshot {
-            graph: self.graph.clone(),
-            schema: self.schema.clone(),
-            stats: self.stats.clone(),
-            catalog,
-        }
+        self.successor(self.graph.clone(), self.stats.clone(), catalog)
     }
 
     /// Compacts the base graph — dead vertex/edge slots dropped, live
@@ -263,12 +312,7 @@ impl Snapshot {
     pub fn compact(&self) -> (Snapshot, IdRemap) {
         let (graph, remap) = self.graph.compact();
         (
-            Snapshot {
-                graph,
-                schema: self.schema.clone(),
-                stats: self.stats.clone(),
-                catalog: self.catalog.clone(),
-            },
+            self.successor(graph, self.stats.clone(), self.catalog.clone()),
             remap,
         )
     }
@@ -453,6 +497,26 @@ mod tests {
         // refreshed view equals a scratch materialization
         let fresh = crate::materialize(&next.graph, &view.def);
         assert_eq!(view.graph.edge_count(), fresh.edge_count());
+    }
+
+    #[test]
+    fn successors_share_the_memo_and_decoding_starts_fresh() {
+        let s = snapshot(18);
+        let same = |t: &Snapshot| Arc::ptr_eq(s.enumeration_memo(), t.enumeration_memo());
+        assert!(same(&s.clone()));
+        let mut d = GraphDelta::new();
+        d.add_vertex("Job", vec![]);
+        assert!(same(&s.with_delta(&d)));
+        let def = ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 2));
+        let ddl = s.apply_ddl(&crate::DdlOp::CreateView(def));
+        assert!(same(&ddl));
+        assert!(same(&ddl.compact().0));
+        let mut enc = kaskade_graph::Enc::new();
+        ddl.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let decoded = Snapshot::decode(&mut kaskade_graph::Dec::new(&bytes)).unwrap();
+        assert!(!same(&decoded));
+        assert!(!same(&snapshot(18)), "Snapshot::new starts a fresh memo");
     }
 
     #[test]

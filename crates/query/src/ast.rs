@@ -10,7 +10,7 @@
 use kaskade_graph::Value;
 
 /// A node pattern `(var:Label)` — label optional.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodePattern {
     /// Binding variable name.
     pub var: String,
@@ -22,7 +22,7 @@ pub struct NodePattern {
 ///
 /// `-[:ETYPE]->` is a single hop of a given type; `-[r*L..U]->` is a
 /// variable-length path of `L..=U` hops (any or given edge type).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EdgePattern {
     /// Source node variable.
     pub src: String,

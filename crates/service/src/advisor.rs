@@ -14,10 +14,15 @@
 //! [`Metrics`] sensors — the normalized shapes of queries no view
 //! could answer, and the benefit counters of queries a view did
 //! answer — re-runs §V-B [`select_views`] against the **live** graph
-//! statistics, diffs the chosen set against the live catalog, and
-//! issues [`DdlOp`]s through the engine's own DDL write path (so every
-//! migration is WAL-durable, epoch-published, and invalidates the plan
-//! cache exactly like a hand-issued DDL).
+//! statistics (enumerating through the snapshot lineage's memo, so a
+//! shape is solved once however often it recurs), diffs the chosen set
+//! against the live catalog, and issues [`DdlOp`]s through the
+//! engine's own DDL write path (so every migration is WAL-durable,
+//! epoch-published, and invalidates the plan cache exactly like a
+//! hand-issued DDL). Only DDL that changed the catalog counts as an
+//! advisor migration.
+//!
+//! [`select_views`]: kaskade_core::select_views
 //!
 //! Three hysteresis guards keep the loop from thrashing under noisy or
 //! oscillating workloads:
@@ -38,7 +43,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use kaskade_core::{select_views, DdlOp, SelectionConfig, ViewId};
+use kaskade_core::{DdlOp, SelectionConfig, ViewDef, ViewId};
 use kaskade_query::Query;
 
 use crate::engine::Engine;
@@ -51,9 +56,10 @@ pub struct AdvisorConfig {
     /// Pause between ticks of the background loop (ignored by
     /// [`advise_once`], which callers pace themselves).
     pub every: Duration,
-    /// Space budget in edges handed to [`select_views`] — the same
-    /// knapsack capacity as [`SelectionConfig::budget_edges`], now
-    /// enforced continuously instead of once at startup.
+    /// Space budget in edges handed to
+    /// [`select_views`](kaskade_core::select_views) — the same knapsack
+    /// capacity as [`SelectionConfig::budget_edges`], now enforced
+    /// continuously instead of once at startup.
     pub budget_edges: u64,
     /// Degree percentile for view-size estimation (paper default 95).
     pub alpha: u8,
@@ -95,9 +101,9 @@ pub struct AdvisorState {
 /// `--expect-adaptation` gate).
 #[derive(Debug, Clone, Default)]
 pub struct AdvisorTick {
-    /// View definition ids the tick created.
+    /// View definition ids the tick created (creates that took effect).
     pub created: Vec<String>,
-    /// View slots the tick dropped.
+    /// View slots the tick dropped (drops that took effect).
     pub dropped: Vec<ViewId>,
     /// Total misses drained from the window.
     pub misses_seen: u64,
@@ -149,14 +155,17 @@ pub fn advise_once(
             .iter_with_ids()
             .map(|(id, v)| (id, v.def.id()))
             .collect();
-        let creations: Vec<kaskade_core::ViewDef> = if workload.is_empty() {
+        let creations: Vec<ViewDef> = if workload.is_empty() {
             Vec::new()
         } else {
             let sel = SelectionConfig {
                 budget_edges: cfg.budget_edges,
                 alpha: cfg.alpha,
             };
-            select_views(snap.graph(), snap.stats(), snap.schema(), &workload, &sel)
+            // through the lineage's enumeration memo: each missed shape
+            // is enumerated once, however many copies weight it, and
+            // shapes the readers already planned are not re-solved
+            snap.select_views(&workload, &sel)
                 .chosen()
                 .into_iter()
                 .filter(|def| !live.iter().any(|(_, id)| *id == def.id()))
@@ -213,36 +222,19 @@ pub fn advise_once(
     // drop the longest-idle (oldest) first, deterministically
     drops.sort_by_key(|id| id.index());
 
-    let mut budget = cfg.max_migrations_per_tick;
-    if tick.misses_seen >= cfg.min_misses {
-        for def in &creations {
-            if budget == 0 {
-                break;
-            }
-            if engine.submit_ddl(DdlOp::CreateView(def.clone())) {
-                tick.created.push(def.id());
-                budget -= 1;
-            }
-        }
-    }
-    for id in drops {
-        if budget == 0 {
-            break;
-        }
-        if engine.submit_ddl(DdlOp::DropView(id)) {
-            tick.dropped.push(id);
-            budget -= 1;
-        }
-    }
-    if tick.migrations() > 0 {
-        engine.flush();
-        metrics.record_advisor_migrations(tick.migrations());
-    }
+    let creates = if tick.misses_seen >= cfg.min_misses {
+        &creations[..creations.len().min(cfg.max_migrations_per_tick)]
+    } else {
+        &[]
+    };
+    drops.truncate(cfg.max_migrations_per_tick - creates.len());
+    (tick.created, tick.dropped) = commit_migrations(engine, creates, &drops);
 
     // remember this tick's lifetime counters for the next window
     state.last_answered = benefits.iter().map(|b| (b.id, b.answered)).collect();
     // newly created views start their dwell clock at the epoch their
-    // DDL published (flushed above, so the cell has advanced past it)
+    // DDL published (acknowledged above, so the cell has advanced past
+    // it)
     let current = engine.snapshot();
     let epoch_now = current.epoch;
     for created in &tick.created {
@@ -266,6 +258,49 @@ pub fn advise_once(
         tick.dropped.len()
     ));
     tick
+}
+
+/// Submits one tick's DDL — creates first, then drops — waits for each
+/// to publish, and returns (and records as advisor migrations) only
+/// those that changed the catalog's membership. A drop of a slot
+/// another caller dropped first (a no-op publish) or a create another
+/// caller beat the advisor to (a rebuild in place) is not counted.
+fn commit_migrations(
+    engine: &Engine,
+    creates: &[ViewDef],
+    drops: &[ViewId],
+) -> (Vec<String>, Vec<ViewId>) {
+    let ops = creates
+        .iter()
+        .map(|def| DdlOp::CreateView(def.clone()))
+        .chain(drops.iter().map(|&id| DdlOp::DropView(id)));
+    // submit everything before waiting, so the writer can publish the
+    // whole tick back to back
+    let acks: Vec<_> = ops.map(|op| engine.submit_ddl_acked(op)).collect();
+    let committed: Vec<bool> = acks
+        .into_iter()
+        .map(|ack| ack.is_some_and(|rx| rx.recv().unwrap_or(false)))
+        .collect();
+    let (create_acks, drop_acks) = committed.split_at(creates.len());
+    let created: Vec<String> = creates
+        .iter()
+        .zip(create_acks)
+        .filter(|&(_, &ok)| ok)
+        .map(|(def, _)| def.id())
+        .collect();
+    let dropped: Vec<ViewId> = drops
+        .iter()
+        .zip(drop_acks)
+        .filter(|&(_, &ok)| ok)
+        .map(|(&id, _)| id)
+        .collect();
+    let migrations = created.len() + dropped.len();
+    if migrations > 0 {
+        engine
+            .metrics_handle()
+            .record_advisor_migrations(migrations);
+    }
+    (created, dropped)
 }
 
 /// The background control task: [`advise_once`] on a fixed cadence
@@ -485,6 +520,74 @@ mod tests {
         let tick = advise_once(&engine, &cfg, &mut state, &tracer);
         assert!(tick.misses_seen > 0);
         assert_eq!(tick.migrations(), 0, "cap of zero migrates nothing");
+    }
+
+    #[test]
+    fn a_repeated_shape_is_enumerated_once_per_tick() {
+        let engine = serving_engine(46, false);
+        let q = parse(LISTING_1).unwrap();
+        // eight logged misses of one shape the readers never planned:
+        // the tick weights it with eight workload copies
+        for _ in 0..8 {
+            engine.metrics_handle().record_miss_shape(
+                &crate::plan_cache::plan_key(&q),
+                &q,
+                Duration::from_millis(1),
+            );
+        }
+        let before = engine.metrics();
+        let tick = advise_once(
+            &engine,
+            &greedy(),
+            &mut AdvisorState::default(),
+            &Tracer::new(false),
+        );
+        assert_eq!(tick.misses_seen, 8);
+        assert_eq!(tick.created, vec!["connector:JOB_TO_JOB_2_HOP".to_string()]);
+        let after = engine.metrics();
+        assert_eq!(
+            after.enumeration_memo_misses - before.enumeration_memo_misses,
+            1,
+            "{after:?}"
+        );
+        assert_eq!(
+            after.enumeration_memo_hits - before.enumeration_memo_hits,
+            7
+        );
+    }
+
+    #[test]
+    fn only_ddl_that_took_effect_counts_as_a_migration() {
+        let engine = serving_engine(47, true);
+        // another caller drops the slot first: the advisor's drop of
+        // it is a no-op publish
+        assert!(engine.submit_ddl(DdlOp::DropView(ViewId(0))));
+        engine.flush();
+        let (created, dropped) = commit_migrations(&engine, &[], &[ViewId(0)]);
+        assert!(created.is_empty() && dropped.is_empty());
+        assert_eq!(engine.metrics().advisor_migrations, 0);
+        assert_eq!(engine.metrics().views_dropped, 1, "the no-op is no drop");
+        // a create that lands and a drop of a live slot both count
+        let def = ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 4));
+        let (created, _) = commit_migrations(&engine, std::slice::from_ref(&def), &[]);
+        assert_eq!(created, vec![def.id()]);
+        let slot = engine
+            .snapshot()
+            .state
+            .catalog()
+            .lookup(&def.id())
+            .unwrap()
+            .0;
+        let (_, dropped) = commit_migrations(&engine, &[], &[slot]);
+        assert_eq!(dropped, vec![slot]);
+        assert_eq!(engine.metrics().advisor_migrations, 2);
+        // re-creating a definition that is already live rebuilds it in
+        // place: no migration
+        let two_hop = ViewDef::Connector(ConnectorDef::k_hop("Job", "Job", 2));
+        commit_migrations(&engine, std::slice::from_ref(&two_hop), &[]);
+        let (created, _) = commit_migrations(&engine, &[two_hop], &[]);
+        assert!(created.is_empty());
+        assert_eq!(engine.metrics().advisor_migrations, 3);
     }
 
     #[test]

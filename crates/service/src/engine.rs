@@ -9,7 +9,8 @@
 //!                                    views on the     Arc<EpochSnapshot>
 //!                                    pool)                │
 //!  readers ◄──────────────────────────────────────────────┘
-//!           execute(): plan-cache lookup → plan_target → pattern match
+//!           execute(): plan-cache lookup → (miss: memoized enumerate
+//!                      → rewrite/cost) → plan_target → pattern match
 //!                      (scattered over partitions) → relational stage
 //! ```
 //!
@@ -252,8 +253,10 @@ enum Msg {
     /// Apply a catalog mutation (create/drop a materialized view) and
     /// publish it as its own epoch. A batch boundary: deltas queued
     /// before it refresh against the old catalog first, so "submit
-    /// delta, then DDL" observes sequential semantics.
-    Ddl(DdlOp),
+    /// delta, then DDL" observes sequential semantics. The optional
+    /// sender learns, once the DDL is published, whether it changed the
+    /// catalog's membership (see [`Engine::submit_ddl_acked`]).
+    Ddl(DdlOp, Option<mpsc::Sender<bool>>),
     Flush(mpsc::Sender<u64>),
 }
 
@@ -276,8 +279,9 @@ struct Batch {
     /// A catalog mutation encountered while draining. A batch
     /// boundary: deltas queued before it (this batch) refresh against
     /// the pre-DDL catalog, then the caller applies the DDL and
-    /// publishes it as its own epoch.
-    ddl: Option<DdlOp>,
+    /// publishes it as its own epoch (acknowledging its effect to the
+    /// optional sender).
+    ddl: Option<(DdlOp, Option<mpsc::Sender<bool>>)>,
     /// Whether the queue is still open (false = shutdown signalled).
     open: bool,
 }
@@ -357,10 +361,10 @@ fn collect_batch(
                     batch.rejected += 1;
                 }
             }
-            Some(Msg::Ddl(op)) => {
+            Some(Msg::Ddl(op, ack)) => {
                 // batch boundary: deltas drained so far refresh
                 // against the pre-DDL catalog first
-                batch.ddl = Some(op);
+                batch.ddl = Some((op, ack));
                 break;
             }
             Some(Msg::Flush(ack)) => batch.acks.push(ack),
@@ -673,7 +677,19 @@ impl Engine {
     /// while the queue is full rather than failing — DDL is rare and
     /// must not be shed under write load.
     pub fn submit_ddl(&self, op: DdlOp) -> bool {
-        self.tx.send(Msg::Ddl(op)).is_ok()
+        self.tx.send(Msg::Ddl(op, None)).is_ok()
+    }
+
+    /// [`Engine::submit_ddl`] for callers that must count only DDL that
+    /// took effect: the receiver yields, once the DDL is published,
+    /// whether it changed the catalog's membership — `false` for a
+    /// create of a definition that was already live (a rebuild in
+    /// place) or a drop of a slot that was already dead. `None` when
+    /// the engine is shutting down.
+    pub(crate) fn submit_ddl_acked(&self, op: DdlOp) -> Option<mpsc::Receiver<bool>> {
+        let (ack_tx, ack_rx) = mpsc::channel();
+        self.tx.send(Msg::Ddl(op, Some(ack_tx))).ok()?;
+        Some(ack_rx)
     }
 
     /// Waits until every previously submitted delta is applied and
@@ -714,9 +730,11 @@ impl Engine {
     /// `apply_*` fields are the end-to-end batch apply+publish on every
     /// topology, one sample per published batch.
     pub fn metrics(&self) -> MetricsReport {
+        let snap = self.shared.cell.load();
         self.shared.metrics.report_with(
-            self.shared.cell.epoch(),
+            snap.epoch,
             &self.shared.cache,
+            snap.state.enumeration_memo(),
             self.queue_depth() as usize,
         )
     }
@@ -761,10 +779,12 @@ impl Drop for Engine {
 /// on the worker pool ([`scatter_gather`]).
 ///
 /// Read-path instrumentation: a `query` root span with
-/// `plan_cache_lookup` / `plan` / `relational` children (the last with
-/// a `pattern_match` child, which parents the scatter legs), and a
-/// slow-query log entry (normalized AST with plan, pattern and
-/// relational timings) when the total crosses the tracer's threshold.
+/// `plan_cache_lookup` / `plan` / `relational` children (`plan` with
+/// `enumerate` and `rewrite` children, `relational` with a
+/// `pattern_match` child, which parents the scatter legs), and a
+/// slow-query log entry (normalized AST with enumerate, rewrite,
+/// pattern and relational timings) when the total crosses the
+/// tracer's threshold.
 /// With tracing off and no threshold set, the added cost is two relaxed
 /// atomic loads.
 fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Table, KaskadeError> {
@@ -803,7 +823,7 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
     let mut root = tracer.span(Stage::Query);
     root.set_epoch(snap.epoch);
     let key = plan_key(query);
-    let mut plan_time = Duration::ZERO;
+    let (mut enumerate_time, mut rewrite_time) = (Duration::ZERO, Duration::ZERO);
     let planned = {
         let mut lookup = root.child(Stage::PlanCacheLookup);
         match shared.cache.get(snap.epoch, &key) {
@@ -814,11 +834,25 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
             None => {
                 lookup.set_detail("miss");
                 drop(lookup);
+                // a miss enumerates through the lineage's per-pattern
+                // memo, then filters, rewrites and costs against this
+                // epoch's catalog
                 let plan_span = root.child(Stage::Plan);
+                let mut enumerate_span = plan_span.child(Stage::Enumerate);
                 let t0 = timing.then(Instant::now);
-                let plan = Arc::new(snap.state.plan(query).map_err(KaskadeError::Inference)?);
-                if let Some(t0) = t0 {
-                    plan_time = t0.elapsed();
+                let (enumeration, memo_hit) = snap
+                    .state
+                    .enumerate_memoized(query)
+                    .map_err(KaskadeError::Inference)?;
+                enumerate_span.set_detail(if memo_hit { "memo-hit" } else { "memo-miss" });
+                drop(enumerate_span);
+                let t1 = timing.then(Instant::now);
+                let rewrite_span = plan_span.child(Stage::Rewrite);
+                let plan = Arc::new(snap.state.plan_with(query, &enumeration));
+                drop(rewrite_span);
+                if let (Some(t0), Some(t1)) = (t0, t1) {
+                    enumerate_time = t1 - t0;
+                    rewrite_time = t1.elapsed();
                 }
                 drop(plan_span);
                 shared
@@ -884,7 +918,10 @@ fn execute_at(shared: &Shared, snap: &EpochSnapshot, query: &Query) -> Result<Ta
                     total,
                     snap.epoch,
                     &key,
-                    &format!("plan={plan_time:?} pattern={pattern:?} relational={relational:?}"),
+                    &format!(
+                        "enumerate={enumerate_time:?} rewrite={rewrite_time:?} \
+                         pattern={pattern:?} relational={relational:?}"
+                    ),
                 );
             }
             Ok(table)
@@ -1035,8 +1072,12 @@ fn writer_loop(
         }
         // a catalog mutation publishes as its own epoch, after the
         // deltas batched ahead of it and before anything queued behind
-        if let Some(op) = &batch.ddl {
+        if let Some((op, ack)) = &batch.ddl {
             let mut ddl_span = shared.tracer.span(Stage::Ddl);
+            let changes_membership = match op {
+                DdlOp::CreateView(def) => state.catalog().get(&def.id()).is_none(),
+                DdlOp::DropView(id) => state.catalog().get_by_id(*id).is_some(),
+            };
             // durable strictly before visible, like batches: replay
             // re-runs apply_ddl at the same epoch position
             if let Some(w) = wal.as_mut() {
@@ -1057,12 +1098,18 @@ fn writer_loop(
                     format!("create {}", def.id())
                 }
                 DdlOp::DropView(id) => {
-                    shared.metrics.record_view_dropped();
+                    // a drop of an already-dead slot is a no-op publish
+                    if changes_membership {
+                        shared.metrics.record_view_dropped();
+                    }
                     format!("drop {id}")
                 }
             };
             ddl_span.set_epoch(epoch);
             ddl_span.set_detail(detail);
+            if let Some(ack) = ack {
+                let _ = ack.send(changes_membership);
+            }
         }
         if should_compact(state.graph(), compact_dead_ratio) {
             let mut compact_span = shared.tracer.span(Stage::Compact);
@@ -1200,11 +1247,53 @@ mod tests {
         let rel = find(Stage::Relational);
         assert_eq!(rel.parent, find(Stage::Query).id);
         assert_eq!(find(Stage::PatternMatch).parent, rel.id);
+        // a plan miss splits into memoized enumeration and rewrite
+        let plan = find(Stage::Plan);
+        let enumerate = find(Stage::Enumerate);
+        assert_eq!(enumerate.parent, plan.id);
+        assert_eq!(enumerate.detail, "memo-miss");
+        assert_eq!(find(Stage::Rewrite).parent, plan.id);
         let slow = &find(Stage::SlowQuery).detail;
-        assert!(
-            slow.contains(" pattern=") && slow.contains(" relational="),
-            "{slow}"
+        for part in ["enumerate=", " rewrite=", " pattern=", " relational="] {
+            assert!(slow.contains(part), "no `{part}` in {slow}");
+        }
+        assert!(!slow.contains("plan="), "{slow}");
+    }
+
+    #[test]
+    fn a_ddl_epoch_replans_from_the_enumeration_memo() {
+        let tracer = Arc::new(Tracer::new(true));
+        let engine = Engine::with_config(
+            Snapshot::new(lineage(), Schema::provenance()),
+            EngineConfig {
+                tracer: Some(Arc::clone(&tracer)),
+                ..EngineConfig::default()
+            },
         );
+        let q = kaskade_query::parse(kaskade_query::listings::LISTING_1).unwrap();
+        let raw = engine.execute(&q).unwrap();
+        let m = engine.metrics();
+        assert_eq!((m.enumeration_memo_hits, m.enumeration_memo_misses), (0, 1));
+        let def =
+            kaskade_core::ViewDef::Connector(kaskade_core::ConnectorDef::k_hop("Job", "Job", 2));
+        assert!(engine.submit_ddl(DdlOp::CreateView(def)));
+        engine.flush();
+        // the DDL epoch starts with an empty plan cache: the shape
+        // re-plans onto the new view without running the enumerator
+        let viewed = engine.execute(&q).unwrap();
+        let m = engine.metrics();
+        assert_eq!((m.enumeration_memo_hits, m.enumeration_memo_misses), (1, 1));
+        assert_eq!(m.plan_cache_misses, 2);
+        assert_eq!(format!("{:?}", raw.rows), format!("{:?}", viewed.rows));
+        let snap = engine.snapshot();
+        assert!(snap.state.plan(&q).unwrap().view_id.is_some());
+        let details: Vec<_> = tracer
+            .dump()
+            .into_iter()
+            .filter(|e| e.stage == Stage::Enumerate)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(details, ["memo-miss", "memo-hit"]);
     }
 
     #[test]
@@ -1241,6 +1330,8 @@ mod tests {
             Stage::Query,
             Stage::PlanCacheLookup,
             Stage::Plan,
+            Stage::Enumerate,
+            Stage::Rewrite,
             Stage::Relational,
             Stage::PatternMatch,
         ] {

@@ -195,6 +195,18 @@ pub fn render_prometheus(engine: &Engine) -> String {
         "Plan-cache misses.",
         r.plan_cache_misses,
     );
+    push_counter(
+        &mut out,
+        "kaskade_enumeration_memo_hits_total",
+        "View enumerations answered from the per-pattern memo.",
+        r.enumeration_memo_hits,
+    );
+    push_counter(
+        &mut out,
+        "kaskade_enumeration_memo_misses_total",
+        "View enumerations that ran the Prolog solver.",
+        r.enumeration_memo_misses,
+    );
     push_gauge(
         &mut out,
         "kaskade_epoch",
@@ -504,6 +516,8 @@ mod tests {
             "# TYPE kaskade_queries_total counter",
             "kaskade_queries_total 2",
             "kaskade_plan_cache_hits_total 1",
+            "kaskade_enumeration_memo_misses_total 1",
+            "kaskade_enumeration_memo_hits_total 0",
             "kaskade_epoch 0",
             "# TYPE kaskade_query_latency_seconds histogram",
             "kaskade_query_latency_seconds_bucket{le=\"+Inf\"} 2",

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use kaskade_core::{ViewId, ViewRefreshStat};
+use kaskade_core::{EnumerationMemo, ViewId, ViewRefreshStat};
 use kaskade_query::Query;
 
 /// Number of power-of-two latency buckets (bucket `i` holds samples in
@@ -414,24 +414,29 @@ impl Metrics {
 
     /// **The** report constructor: a point-in-time copy of every
     /// counter, with derived quantiles, plus the context only the
-    /// owning engine has — the published epoch, the plan cache, and the
-    /// current queue depth.
+    /// owning engine has — the published epoch, the plan cache, the
+    /// published snapshot's enumeration memo, and the current queue
+    /// depth.
     pub fn report_with(
         &self,
         epoch: u64,
         cache: &crate::plan_cache::PlanCache,
+        memo: &EnumerationMemo,
         queue_depth: usize,
     ) -> MetricsReport {
         let mut r = self.base_report();
         r.epoch = epoch;
         r.plan_cache_hits = cache.hits();
         r.plan_cache_misses = cache.misses();
+        r.enumeration_memo_hits = memo.hits();
+        r.enumeration_memo_misses = memo.misses();
         r.queue_depth = queue_depth as u64;
         r
     }
 
     /// The unstitched counter copy behind [`Metrics::report_with`];
-    /// `epoch`, `plan_cache_*`, and `queue_depth` are zero here.
+    /// `epoch`, `plan_cache_*`, `enumeration_memo_*`, and `queue_depth`
+    /// are zero here.
     fn base_report(&self) -> MetricsReport {
         MetricsReport {
             queries: self.queries.load(Ordering::Relaxed),
@@ -460,6 +465,8 @@ impl Metrics {
             epoch: 0,
             plan_cache_hits: 0,
             plan_cache_misses: 0,
+            enumeration_memo_hits: 0,
+            enumeration_memo_misses: 0,
             queue_depth: 0,
             per_view: self.view_metrics(),
             view_benefits: self.view_benefits(),
@@ -586,6 +593,11 @@ pub struct MetricsReport {
     pub plan_cache_hits: u64,
     /// Plan-cache misses.
     pub plan_cache_misses: u64,
+    /// View enumerations answered from the snapshot lineage's
+    /// per-pattern memo (plan misses and advisor selection).
+    pub enumeration_memo_hits: u64,
+    /// View enumerations that ran the Prolog solver.
+    pub enumeration_memo_misses: u64,
     /// Deltas waiting in the bounded queue at report time.
     pub queue_depth: u64,
     /// Per-view dimensional breakdown (empty until the first publish
@@ -626,6 +638,11 @@ impl fmt::Display for MetricsReport {
             self.plan_cache_hits,
             self.plan_cache_misses,
             100.0 * self.plan_cache_hit_rate()
+        )?;
+        writeln!(
+            f,
+            "enumeration memo   {} hits / {} misses",
+            self.enumeration_memo_hits, self.enumeration_memo_misses
         )?;
         writeln!(
             f,

@@ -1,10 +1,12 @@
 //! The per-epoch plan cache.
 //!
-//! Planning is the expensive part of the read path: every [`plan`] call
-//! runs the Prolog view enumerator over the query (§IV) before costing
-//! rewrites. A serving workload repeats a small set of query shapes at
-//! high rates, so the engine memoizes `plan()` results keyed by
-//! `(epoch, normalized query)`.
+//! A serving workload repeats a small set of query shapes at high
+//! rates, so the engine memoizes [`plan`] results keyed by
+//! `(epoch, normalized query)`. A miss is already cheap: the Prolog
+//! view enumeration (§IV) behind it is memoized per query pattern for
+//! the whole snapshot lineage ([`kaskade_core::EnumerationMemo`]), so
+//! a miss on a known pattern only filters the candidates against the
+//! epoch's catalog, rewrites and costs.
 //!
 //! Keys are **alpha-normalized**: pattern variables are renamed to
 //! `$0, $1, ...` in first-occurrence order, so queries that differ only

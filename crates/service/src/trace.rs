@@ -72,8 +72,17 @@ pub enum Stage {
     Publish,
     /// Read path: plan-cache probe (detail = hit/miss).
     PlanCacheLookup,
-    /// Read path: planning a cache miss (enumeration + rewrite).
+    /// Read path: planning a plan-cache miss — the parent of one
+    /// `Enumerate` and one `Rewrite` span.
     Plan,
+    /// Read path: view enumeration for a plan miss, through the
+    /// snapshot lineage's per-pattern memo (child of `Plan`, detail =
+    /// `memo-hit`/`memo-miss`; only a miss runs the Prolog solver).
+    Enumerate,
+    /// Read path: filtering the enumerated candidates against the live
+    /// catalog, rewriting over each materialized view, and costing
+    /// (child of `Plan`).
+    Rewrite,
     /// Read path: one partition's scatter leg (detail = partition index).
     Scatter,
     /// Read path: gathering and deduplicating scatter results.
@@ -108,6 +117,8 @@ impl Stage {
             Stage::Publish => "publish",
             Stage::PlanCacheLookup => "plan_cache_lookup",
             Stage::Plan => "plan",
+            Stage::Enumerate => "enumerate",
+            Stage::Rewrite => "rewrite",
             Stage::Scatter => "scatter",
             Stage::Gather => "gather",
             Stage::Query => "query",

@@ -520,7 +520,8 @@ fn outcome_json(outcome: &DriveOutcome, tracer: &Tracer, counts: (usize, usize))
          \"epoch\":{},\"deltas_applied\":{},\"batches_published\":{},\"views_refreshed\":{},\
          \"views_rematerialized\":{},\"views_created\":{},\"views_dropped\":{},\
          \"advisor_migrations\":{},\"compactions_run\":{},\"slots_reclaimed\":{},\
-         \"plan_cache_hit_rate\":{:.4},\"p50_ns\":{},\"p99_ns\":{},\"apply_p50_ns\":{},\
+         \"plan_cache_hit_rate\":{:.4},\"enumeration_memo_hits\":{},\
+         \"enumeration_memo_misses\":{},\"p50_ns\":{},\"p99_ns\":{},\"apply_p50_ns\":{},\
          \"apply_p99_ns\":{},\"apply_total_ns\":{},\"queue_depth\":{},\"slow_queries\":{},\
          \"trace_dropped_events\":{},\"per_view\":[",
         counts.0,
@@ -543,6 +544,8 @@ fn outcome_json(outcome: &DriveOutcome, tracer: &Tracer, counts: (usize, usize))
         r.compactions_run,
         r.slots_reclaimed,
         r.plan_cache_hit_rate(),
+        r.enumeration_memo_hits,
+        r.enumeration_memo_misses,
         r.p50.as_nanos(),
         r.p99.as_nanos(),
         r.apply_p50.as_nanos(),

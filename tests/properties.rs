@@ -1016,3 +1016,93 @@ proptest! {
         prop_assert!(big >= small);
     }
 }
+
+/// A blast-radius text over one hop window, with the given pattern
+/// variable spellings and output alias.
+fn blast_text(vars: [&str; 4], lo: usize, hi: usize, alias: &str) -> String {
+    let [j1, f1, f2, j2] = vars;
+    format!(
+        "SELECT {alias}.name, COUNT(*) FROM (
+           MATCH ({j1}:Job)-[:WRITES_TO]->({f1}:File)
+                 ({f1}:File)-[r*{lo}..{hi}]->({f2}:File)
+                 ({f2}:File)-[:IS_READ_BY]->({j2}:Job)
+           RETURN {j1} AS {alias}, {j2} AS B
+         ) GROUP BY {alias}.name"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The enumeration memo is invisible in plans and answers: a plan
+    /// miss answered from a memo warmed by another alias and outer
+    /// level of the same pattern — on an earlier epoch of the lineage,
+    /// before the catalog's DDL — equals the plan a cold memo finds on
+    /// the same graph and catalog (same view, query and cost), and the
+    /// rows are byte-identical. Near misses (another hop window or
+    /// variable spelling) never share the entry.
+    #[test]
+    fn warm_memo_plan_equals_cold_memo_plan(
+        g in lineage_graph(16),
+        lo in 0usize..3,
+        width in 0usize..6,
+        alias in 0usize..3,
+        spelling in 0usize..3,
+        views in 0u8..8,
+    ) {
+        let hi = lo + width;
+        let spellings = [
+            ["j1", "f1", "f2", "j2"],
+            ["a", "x", "y", "b"],
+            ["src", "out", "in", "dst"],
+        ];
+        let aliases = ["A", "A7", "Out"];
+        let vars = spellings[spelling];
+        let defs = [
+            ConnectorDef::k_hop("Job", "Job", 2),
+            ConnectorDef::k_hop("Job", "Job", 4),
+            ConnectorDef::k_hop("File", "File", 2),
+        ];
+        let with_catalog = |mut s: Snapshot| {
+            for (i, def) in defs.iter().enumerate() {
+                if views & (1 << i) != 0 {
+                    s = s.apply_ddl(&DdlOp::CreateView(ViewDef::Connector(def.clone())));
+                }
+            }
+            s
+        };
+
+        let root = Snapshot::new(g.clone(), Schema::provenance());
+        let memo = std::sync::Arc::clone(root.enumeration_memo());
+        // warm: the same pattern under another outer level and alias,
+        // plus near misses that must key apart
+        let outer = format!(
+            "SELECT COUNT(*) FROM (
+               MATCH ({0}:Job)-[:WRITES_TO]->({1}:File)
+                     ({1}:File)-[r*{lo}..{hi}]->({2}:File)
+                     ({2}:File)-[:IS_READ_BY]->({3}:Job)
+               RETURN {0} AS X, {3} AS Y)",
+            vars[0], vars[1], vars[2], vars[3]
+        );
+        root.plan(&parse(&outer).unwrap()).unwrap();
+        root.plan(&parse(&blast_text(vars, lo, hi + 1, "A")).unwrap()).unwrap();
+        let other = spellings[(spelling + 1) % spellings.len()];
+        root.plan(&parse(&blast_text(other, lo, hi, "A")).unwrap()).unwrap();
+        prop_assert_eq!(memo.misses(), 3);
+
+        let target = parse(&blast_text(vars, lo, hi, aliases[alias])).unwrap();
+        let warm = with_catalog(root);
+        let warm_plan = warm.plan(&target).unwrap();
+        prop_assert_eq!(memo.misses(), 3, "the target was a memo hit");
+        let cold = with_catalog(Snapshot::new(g, Schema::provenance()));
+        let cold_plan = cold.plan(&target).unwrap();
+        prop_assert_eq!(cold.enumeration_memo().misses(), 1);
+
+        prop_assert_eq!(warm_plan.view_id, cold_plan.view_id);
+        prop_assert_eq!(&warm_plan.query, &cold_plan.query);
+        prop_assert_eq!(warm_plan.estimated_cost, cold_plan.estimated_cost);
+        let warm_rows = warm.execute_planned(&warm_plan).unwrap();
+        let cold_rows = cold.execute_planned(&cold_plan).unwrap();
+        prop_assert_eq!(&warm_rows, &cold_rows);
+    }
+}

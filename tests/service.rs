@@ -790,6 +790,8 @@ fn cli_stats_json_reports_the_final_outcome() {
         "\"reads_per_sec\":",
         "\"epoch\":",
         "\"deltas_applied\":",
+        "\"enumeration_memo_hits\":",
+        "\"enumeration_memo_misses\":",
         "\"p99_ns\":",
         "\"apply_p99_ns\":",
         "\"slow_queries\":",
